@@ -2,16 +2,26 @@
 
 Every bounded verdict (Unknown, NoneWithinBounds) echoes the Bounds object it
 was computed with, so reports are reproducible.
+
+The Groebner step limit is ambient rather than passed down, because Groebner
+work is also reached through ideal comparison operators, which cannot take a
+parameter.  Each public entry point that takes `bounds` and can reach the
+Groebner engine is wrapped in `applies_bounds`, which puts `bounds.steps` in a
+context variable for the duration of the call.  Outside any such call the
+limit is `DIAGCERT_BUDGET` or DEFAULT_STEPS.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass, asdict
 
 DEFAULT_STEPS = 1_000_000
 
-_override_steps = None
+_steps = ContextVar("diagcert_steps", default=None)
 
 
 def _env_steps() -> int:
@@ -25,14 +35,31 @@ def _env_steps() -> int:
     return value if value > 0 else DEFAULT_STEPS
 
 
-def set_global_steps(value):
-    """Override the global step budget (None restores the environment default)."""
-    global _override_steps
-    _override_steps = value
-
-
 def current_steps() -> int:
-    return _override_steps if _override_steps is not None else _env_steps()
+    """Step limit for one Groebner computation started now."""
+    steps = _steps.get()
+    return _env_steps() if steps is None else steps
+
+
+def applies_bounds(fn):
+    """Run fn with the step limit of its `bounds` argument in effect.
+
+    A call with bounds=None keeps the limit of the enclosing call.
+    """
+    index = list(inspect.signature(fn).parameters).index("bounds")
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        bounds = args[index] if len(args) > index else kwargs.get("bounds")
+        if bounds is None:
+            return fn(*args, **kwargs)
+        token = _steps.set(bounds.steps)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _steps.reset(token)
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -41,9 +68,9 @@ class Bounds:
 
     degree/height bound the coefficient pool used by element enumeration
     (monomial total degree <= degree, integer coefficients with |c| <= height).
-    steps caps Groebner reduction steps; search_nodes caps the elementary
-    operation search; iso_candidates caps the isomorphism candidate sweep;
-    sample_elements caps annihilator-lattice sampling.
+    steps caps the reduction steps of each Groebner computation; search_nodes
+    caps the elementary operation search; iso_candidates caps the isomorphism
+    candidate sweep; sample_elements caps annihilator-lattice sampling.
     """
 
     degree: int = 2

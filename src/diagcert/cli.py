@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--height", type=int, default=3,
                        help="height bound for coefficient pools (default 3)")
         p.add_argument("--steps", type=int, default=0,
-                       help="step budget override (default: DIAGCERT_BUDGET "
-                            "or 1000000)")
+                       help="reduction steps allowed to each Groebner "
+                            "computation (default: DIAGCERT_BUDGET or 1000000)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed echoed into reports (default 0)")
     return parser
@@ -174,15 +174,6 @@ def _render_analyze(report) -> str:
 
 
 def run(request: CommandRequest) -> "tuple[int, str]":
-    from .bounds import set_global_steps
-    set_global_steps(request.bounds.steps)
-    try:
-        return _dispatch(request)
-    finally:
-        set_global_steps(None)
-
-
-def _dispatch(request: CommandRequest) -> "tuple[int, str]":
     data = load_document(request.input_path)
     bounds = request.bounds
     sub = request.subcommand
@@ -244,6 +235,9 @@ def main(argv=None) -> int:
         request = request_from_argv(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         code, text = run(request)
     except InternalInvariantError as exc:

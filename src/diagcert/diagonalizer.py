@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
-from .bounds import Bounds
+from .bounds import Bounds, applies_bounds
 from .errors import FullRankRequiredError, InternalInvariantError
 from .factorize import FactorResult, factor
 from .filtration import (FiltrationSearchResult, filtration_from_decomposition,
@@ -30,7 +30,8 @@ from .homalg import (FPModule, QGResult, is_quasi_gorenstein,
                      transpose_equivalence_from_diagonal)
 from .linalg import (ColAdd, ColScale, ColSwap, EquivalenceCertificate,
                      RingMatrix, RowAdd, RowScale, RowSwap, Workbench,
-                     determinant, fitting_ideal, inverse_unimodular)
+                     apply_in_place, determinant, fitting_ideal,
+                     inverse_unimodular)
 from .rings import IdealHandle, RingElement
 
 
@@ -73,21 +74,7 @@ def _is_diagonal(rows) -> bool:
 
 def _apply(rows, op):
     rows = [list(r) for r in rows]
-    if isinstance(op, RowSwap):
-        rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
-    elif isinstance(op, ColSwap):
-        for r in rows:
-            r[op.i], r[op.j] = r[op.j], r[op.i]
-    elif isinstance(op, RowAdd):
-        rows[op.dst] = [a + op.mult * b for a, b in zip(rows[op.dst], rows[op.src])]
-    elif isinstance(op, ColAdd):
-        for r in rows:
-            r[op.dst] = r[op.dst] + op.mult * r[op.src]
-    elif isinstance(op, RowScale):
-        rows[op.i] = [op.unit * a for a in rows[op.i]]
-    elif isinstance(op, ColScale):
-        for r in rows:
-            r[op.i] = op.unit * r[op.i]
+    apply_in_place(rows, op)
     return rows
 
 
@@ -476,6 +463,7 @@ def _canonicalize_diagonal(cert: EquivalenceCertificate) -> EquivalenceCertifica
     return compose_equivalences(cert, bench.certificate())
 
 
+@applies_bounds
 def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
     """Decide equivalence of a full-rank square matrix to a diagonal matrix."""
     bounds = bounds or Bounds.default()
@@ -577,6 +565,7 @@ class DiagnosisReport:
         return out
 
 
+@applies_bounds
 def analyze(m: RingMatrix, bounds: Bounds = None, claims: dict = None) -> DiagnosisReport:
     """Run the full pipeline and cross-check the implications between the
     verdicts.  Violated implications become discrepancies, never silenced."""

@@ -346,13 +346,6 @@ def _monomial_part(a: RingElement):
     return monos, stripped
 
 
-def _to_dense(a: RingElement, v: int, to_int):
-    c = [0] * (a.degree_in(v) + 1)
-    for e, coeff in a._terms.items():
-        c[e[v]] = to_int(coeff)
-    return c
-
-
 def _kronecker_image(a: RingElement, weights, to_int):
     deg = 0
     out = {}

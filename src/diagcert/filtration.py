@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .bounds import Bounds
+from .bounds import Bounds, applies_bounds
 from .errors import InternalInvariantError, UsageError
 from .groebner import FreeVector
 from .homalg import FPModule, element_annihilator, quotient_presentation
@@ -125,6 +125,7 @@ class AnnihilatorSample:
                 "entries": [e.to_json() for e in self.entries]}
 
 
+@applies_bounds
 def sample_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSample:
     """Annihilators of pooled elements, deduplicated per ideal.
 
@@ -152,6 +153,7 @@ def sample_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSample:
     return AnnihilatorSample(M, tuple(entries), bounds)
 
 
+@applies_bounds
 def sample_basis_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSample:
     """Cheap sub-sample: annihilators of the ambient basis vectors only.
 
@@ -401,6 +403,7 @@ def _stage_candidates(M: FPModule, current_gens, sample, bounds):
     return quotient, admissible, blocked
 
 
+@applies_bounds
 def search_minimal_cyclic_filtration(M: FPModule,
                                      bounds: Bounds = None) -> FiltrationSearchResult:
     """Greedy search preferring inclusion-minimal quotient annihilators, with

@@ -125,11 +125,11 @@ class _BasisElem:
 class _Engine:
     """One Groebner computation; keeps witness tracking and pair syzygies."""
 
-    def __init__(self, ring, rank, gens, steps=None, keep_syzygies=False):
+    def __init__(self, ring, rank, gens, keep_syzygies=False):
         self.ring = ring
         self.rank = rank
         self.dom = ring.coeffs
-        self.steps_left = current_steps() if steps is None else steps
+        self.steps_left = current_steps()
         self.keep_syzygies = keep_syzygies
         self.gens = list(gens)
         self.basis: list[_BasisElem] = []
@@ -349,11 +349,11 @@ class _Engine:
         return results
 
 
-def _normal_form_vs(ring, rank, basis_vecs, vec, steps=None):
+def _normal_form_vs(ring, rank, basis_vecs, vec):
     """Normal form of vec against fixed vectors; (nf, combo list by index)."""
     eng = _Engine.__new__(_Engine)
     eng.ring, eng.rank, eng.dom = ring, rank, ring.coeffs
-    eng.steps_left = current_steps() if steps is None else steps
+    eng.steps_left = current_steps()
     eng.basis = [_BasisElem(v, (), i) for i, v in enumerate(basis_vecs)]
     return eng._normal_form(vec)
 
@@ -387,20 +387,20 @@ class SubmoduleHandle:
         self._engine = None
 
     # internal --------------------------------------------------------------
-    def _completed(self, steps=None, keep_syzygies=False) -> _Engine:
+    def _completed(self, keep_syzygies=False) -> _Engine:
         if self._engine is None or (keep_syzygies and not self._engine.keep_syzygies):
             self._engine = _Engine(self.ring, self.rank, self.generators,
-                                   steps=steps, keep_syzygies=keep_syzygies)
+                                   keep_syzygies=keep_syzygies)
         return self._engine
 
     # queries ---------------------------------------------------------------
-    def reduced_groebner(self, steps=None):
+    def reduced_groebner(self):
         """[(vector, expression-in-generators)] of the reduced basis, cached."""
         if self._reduced is None:
             if not self.generators:
                 self._reduced = ()
             else:
-                eng = self._completed(steps=steps)
+                eng = self._completed()
                 reduced = eng.reduced_basis()
                 for vec, expr in reduced:
                     check = FreeVector.zero(self.ring, self.rank)
@@ -412,13 +412,13 @@ class SubmoduleHandle:
                 self._reduced = tuple(reduced)
         return self._reduced
 
-    def groebner_vectors(self, steps=None):
-        return tuple(vec for vec, _ in self.reduced_groebner(steps=steps))
+    def groebner_vectors(self):
+        return tuple(vec for vec, _ in self.reduced_groebner())
 
     def is_zero_module(self) -> bool:
         return not self.groebner_vectors()
 
-    def contains(self, v: FreeVector, steps=None):
+    def contains(self, v: FreeVector):
         """(True, witness) with v = sum(witness[i] * generators[i]), or (False, None)."""
         if v.ring != self.ring or v.rank != self.rank:
             raise UsageError("vector rank or ring mismatch")
@@ -426,9 +426,9 @@ class SubmoduleHandle:
             return True, tuple(self.ring.zero() for _ in self.generators)
         if not self.generators:
             return False, None
-        reduced = self.reduced_groebner(steps=steps)
+        reduced = self.reduced_groebner()
         nf, combo = _normal_form_vs(self.ring, self.rank,
-                                    [vec for vec, _ in reduced], v, steps=steps)
+                                    [vec for vec, _ in reduced], v)
         if not nf.is_zero():
             return False, None
         witness = [self.ring.zero()] * len(self.generators)
@@ -443,11 +443,11 @@ class SubmoduleHandle:
             raise InternalInvariantError("membership witness does not recombine")
         return True, tuple(witness)
 
-    def normal_form(self, v: FreeVector, steps=None) -> FreeVector:
+    def normal_form(self, v: FreeVector) -> FreeVector:
         if not self.generators:
             return v
         nf, _ = _normal_form_vs(self.ring, self.rank,
-                                self.groebner_vectors(steps=steps), v, steps=steps)
+                                self.groebner_vectors(), v)
         return nf
 
     def equals(self, other: "SubmoduleHandle") -> bool:
@@ -462,17 +462,17 @@ class SubmoduleHandle:
         return tuple(v.sort_key() for v in self.groebner_vectors())
 
 
-def groebner_basis(S: SubmoduleHandle, steps=None) -> SubmoduleHandle:
+def groebner_basis(S: SubmoduleHandle) -> SubmoduleHandle:
     """Handle whose generators are the reduced Groebner basis of S."""
-    return SubmoduleHandle(S.ring, S.rank, S.groebner_vectors(steps=steps))
+    return SubmoduleHandle(S.ring, S.rank, S.groebner_vectors())
 
 
-def membership(v: FreeVector, S: SubmoduleHandle, steps=None):
+def membership(v: FreeVector, S: SubmoduleHandle):
     """Decide v in S; on success the witness recombines to v exactly."""
-    return S.contains(v, steps=steps)
+    return S.contains(v)
 
 
-def syzygies(S: SubmoduleHandle, steps=None) -> SubmoduleHandle:
+def syzygies(S: SubmoduleHandle) -> SubmoduleHandle:
     """Relations among the generators of S, as a submodule of R^len(gens).
 
     Every returned generator is verified to annihilate the generator matrix.
@@ -481,7 +481,7 @@ def syzygies(S: SubmoduleHandle, steps=None) -> SubmoduleHandle:
     ring = S.ring
     if n == 0:
         return SubmoduleHandle(ring, 0, ())
-    eng = _Engine(ring, S.rank, S.generators, steps=steps, keep_syzygies=True)
+    eng = _Engine(ring, S.rank, S.generators, keep_syzygies=True)
     t = len(eng.basis)
     # A: expressions of basis elements in the generators (n x t)
     # B: expressions of generators in the basis (t x n)
@@ -521,10 +521,10 @@ def syzygies(S: SubmoduleHandle, steps=None) -> SubmoduleHandle:
             raise InternalInvariantError("syzygy does not annihilate generators")
         vectors.append(vec)
     pre = SubmoduleHandle(ring, n, vectors)
-    return SubmoduleHandle(ring, n, pre.groebner_vectors(steps=steps))
+    return SubmoduleHandle(ring, n, pre.groebner_vectors())
 
 
-def colon(S: SubmoduleHandle, v: FreeVector, steps=None) -> IdealHandle:
+def colon(S: SubmoduleHandle, v: FreeVector) -> IdealHandle:
     """The ideal {r in R : r*v in S}, via syzygies of [v | generators of S]."""
     if v.ring != S.ring or v.rank != S.rank:
         raise UsageError("vector rank or ring mismatch")
@@ -532,19 +532,19 @@ def colon(S: SubmoduleHandle, v: FreeVector, steps=None) -> IdealHandle:
     if v.is_zero():
         return IdealHandle(ring, [ring.one()])
     combined = SubmoduleHandle(ring, S.rank, (v,) + S.generators)
-    syz = syzygies(combined, steps=steps)
+    syz = syzygies(combined)
     gens = [w.comps[0] for w in syz.generators if not w.comps[0].is_zero()]
     ideal = IdealHandle(ring, gens)
     for r in ideal.generators:
         if r.is_zero():
             continue
-        ok, _ = S.contains(v.scale(r), steps=steps)
+        ok, _ = S.contains(v.scale(r))
         if not ok:
             raise InternalInvariantError("colon generator fails membership")
     return ideal
 
 
-def ideal_intersection(I: IdealHandle, J: IdealHandle, steps=None) -> IdealHandle:
+def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I cap J via syzygies of [(1,1)] + [(a,0)] + [(0,b)] in R^2."""
     if I.ring != J.ring:
         raise UsageError("ideals over different rings")
@@ -553,7 +553,7 @@ def ideal_intersection(I: IdealHandle, J: IdealHandle, steps=None) -> IdealHandl
     gens = [FreeVector(ring, (ring.one(), ring.one()))]
     gens += [FreeVector(ring, (a, zero)) for a in I.generators if not a.is_zero()]
     gens += [FreeVector(ring, (zero, b)) for b in J.generators if not b.is_zero()]
-    syz = syzygies(SubmoduleHandle(ring, 2, gens), steps=steps)
+    syz = syzygies(SubmoduleHandle(ring, 2, gens))
     out = [w.comps[0] for w in syz.generators if not w.comps[0].is_zero()]
     # negate: r*(1,1) + ... = 0 means -r in both ideals; sign is irrelevant
     ideal = IdealHandle(ring, [(-r).canonical_associate()[1] for r in out])
@@ -572,13 +572,13 @@ def _wrap(ring, elements):
                                      if not e.is_zero()])
 
 
-def ideal_groebner(ring, generators, steps=None):
+def ideal_groebner(ring, generators):
     handle = _wrap(ring, generators)
-    return [vec.comps[0] for vec in handle.groebner_vectors(steps=steps)]
+    return [vec.comps[0] for vec in handle.groebner_vectors()]
 
 
-def ideal_contains(ring, gb_elements, element, steps=None) -> bool:
+def ideal_contains(ring, gb_elements, element) -> bool:
     nf, _ = _normal_form_vs(ring, 1,
                             [FreeVector(ring, (g,)) for g in gb_elements],
-                            FreeVector(ring, (element,)), steps=steps)
+                            FreeVector(ring, (element,)))
     return nf.is_zero()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import Bounds
+from .bounds import Bounds, applies_bounds
 from .errors import (DegenerateInputError, FullRankRequiredError,
                      InternalInvariantError, UsageError)
 from .groebner import (FreeVector, SubmoduleHandle, colon, ideal_intersection,
@@ -446,6 +446,7 @@ def _flat_index(target_gens, p, q):
     return q * target_gens + p
 
 
+@applies_bounds
 def hom_module(M: FPModule, N: FPModule, bounds: Bounds = None) -> list:
     """A finite generating set of Hom(M, N), reduced modulo homotopies.
 
@@ -688,6 +689,7 @@ def _iso_candidates(generators, ring, bounds: Bounds):
                                              generators[t2].matrix)]
 
 
+@applies_bounds
 def is_isomorphic(M: FPModule, N: FPModule, bounds: Bounds = None) -> IsoResult:
     """Certified isomorphism test; see the module docstring for the contract."""
     bounds = bounds or Bounds.default()
@@ -813,6 +815,7 @@ def transpose_equivalence_from_diagonal(cert: EquivalenceCertificate) -> Equival
     return out
 
 
+@applies_bounds
 def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
     """Decide coker(m) isomorphic to coker(m^T) for square full-rank m.
 
@@ -891,6 +894,7 @@ class SplitResult:
         return out
 
 
+@applies_bounds
 def split_test(M: FPModule, sub_generators, quotient: FPModule = None,
                bounds: Bounds = None) -> SplitResult:
     """Does M split as the given submodule plus its quotient?"""

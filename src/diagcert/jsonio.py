@@ -105,12 +105,6 @@ def module_from_json(data) -> FPModule:
     return FPModule(ring, gens, relations)
 
 
-def module_to_json(M: FPModule) -> dict:
-    out = {"schema": SCHEMA}
-    out.update(M.to_json())
-    return out
-
-
 def certificate_from_json(data) -> EquivalenceCertificate:
     _require_schema(data, "certificate document")
     _reject_unknown(data, {"schema", "ring", "source", "left", "right",

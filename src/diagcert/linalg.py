@@ -332,10 +332,8 @@ def _validate_op(m: RingMatrix, op):
             raise UsageError("elementary operation index out of range")
 
 
-def apply_elementary(m: RingMatrix, op) -> RingMatrix:
-    """Apply one invertible elementary row or column operation."""
-    _validate_op(m, op)
-    rows = [list(r) for r in m.rows]
+def apply_in_place(rows, op):
+    """Apply one elementary operation to a grid (a list of row lists)."""
     if isinstance(op, RowSwap):
         rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
     elif isinstance(op, ColSwap):
@@ -354,6 +352,13 @@ def apply_elementary(m: RingMatrix, op) -> RingMatrix:
             r[op.i] = op.unit * r[op.i]
     else:
         raise UsageError(f"unknown elementary operation {op!r}")
+
+
+def apply_elementary(m: RingMatrix, op) -> RingMatrix:
+    """Apply one invertible elementary row or column operation."""
+    _validate_op(m, op)
+    rows = [list(r) for r in m.rows]
+    apply_in_place(rows, op)
     return RingMatrix(m.ring, rows)
 
 
@@ -392,38 +397,8 @@ class Workbench:
         if isinstance(op, (RowScale, ColScale)) and not op.unit.is_unit():
             raise UsageError(f"cannot scale by the non-unit {op.unit}")
         self.transcript.append(op)
-        if op.side == "left":
-            self._apply_rows(self.a, op)
-            self._apply_rows(self.p, op)
-        else:
-            self._apply_cols(self.a, op)
-            self._apply_cols(self.q, op)
-
-    @staticmethod
-    def _apply_rows(rows, op):
-        if isinstance(op, RowSwap):
-            rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
-        elif isinstance(op, RowAdd):
-            rows[op.dst] = [a + op.mult * b
-                            for a, b in zip(rows[op.dst], rows[op.src])]
-        elif isinstance(op, RowScale):
-            rows[op.i] = [op.unit * a for a in rows[op.i]]
-        else:
-            raise UsageError(f"not a row operation: {op!r}")
-
-    @staticmethod
-    def _apply_cols(rows, op):
-        if isinstance(op, ColSwap):
-            for r in rows:
-                r[op.i], r[op.j] = r[op.j], r[op.i]
-        elif isinstance(op, ColAdd):
-            for r in rows:
-                r[op.dst] = r[op.dst] + op.mult * r[op.src]
-        elif isinstance(op, ColScale):
-            for r in rows:
-                r[op.i] = op.unit * r[op.i]
-        else:
-            raise UsageError(f"not a column operation: {op!r}")
+        apply_in_place(self.a, op)
+        apply_in_place(self.p if op.side == "left" else self.q, op)
 
     def certificate(self) -> "EquivalenceCertificate":
         return EquivalenceCertificate(

@@ -1,7 +1,15 @@
 import json
 
+import pytest
+
+from diagcert.bounds import Bounds
 from diagcert.cli import main, request_from_argv
-from diagcert.jsonio import dumps
+from diagcert.diagonalizer import analyze, diagonalize
+from diagcert.errors import StepBudgetExceeded
+from diagcert.filtration import sample_lattice, search_minimal_cyclic_filtration
+from diagcert.homalg import (FPModule, hom_module, is_isomorphic,
+                             is_quasi_gorenstein)
+from diagcert.jsonio import dumps, load_document, matrix_from_json
 
 
 def invoke(capsys, *argv):
@@ -157,3 +165,61 @@ def test_request_parsing():
     assert req.bounds.degree == 3 and req.bounds.height == 2
     assert req.bounds.seed == 7
     assert req.as_json
+
+
+@pytest.mark.parametrize("flag", [("--degree", "0"), ("--steps", "-3")])
+def test_bad_bounds_are_usage_errors(capsys, fixtures_dir, flag):
+    code, _, err = invoke(capsys, "snf", "--input",
+                          str(fixtures_dir / "z4.json"), *flag)
+    assert code == 1
+    name = flag[0].lstrip("-")
+    assert f"error: bound '{name}' must be positive" in err
+
+
+@pytest.mark.parametrize("subcommand", ["filtration", "analyze"])
+def test_steps_flag_caps_groebner(capsys, fixtures_dir, subcommand):
+    code, _, err = invoke(capsys, subcommand, "--input",
+                          str(fixtures_dir / "jordan_block.json"),
+                          "--steps", "5")
+    assert code == 4
+    assert "budget" in err.lower()
+
+
+def _jordan_calls(fixtures_dir):
+    doc = load_document(str(fixtures_dir / "jordan_block.json"))
+    m, _ = matrix_from_json(doc)
+    M, Mt = FPModule.from_matrix(m), FPModule.from_matrix(m.transpose())
+    return {
+        "analyze": (lambda b: analyze(m, b),
+                    lambda r: (r.diagonalizable.verdict, r.qg.verdict,
+                               r.filtration.verdict)),
+        "is_isomorphic": (lambda b: is_isomorphic(M, Mt, b),
+                          lambda r: r.verdict),
+        "search": (lambda b: search_minimal_cyclic_filtration(M, b),
+                   lambda r: r.verdict),
+        "sample_lattice": (lambda b: sample_lattice(M, b),
+                           lambda r: len(r.entries)),
+        "hom_module": (lambda b: hom_module(M, Mt, b), len),
+    }
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("analyze", ("no", "yes", "none_within_bounds")),
+    ("is_isomorphic", "yes"),
+    ("search", "none_within_bounds"),
+    ("sample_lattice", 3),
+    ("hom_module", 4),
+])
+def test_library_applies_step_bound(fixtures_dir, name, expected):
+    call, verdict = _jordan_calls(fixtures_dir)[name]
+    with pytest.raises(StepBudgetExceeded):
+        call(Bounds(steps=5))
+    # the limit does not outlive the call that set it
+    assert verdict(call(Bounds())) == expected
+
+
+def test_step_bound_caps_each_computation(fixtures_dir):
+    doc = load_document(str(fixtures_dir / "jordan_block.json"))
+    m, _ = matrix_from_json(doc)
+    assert diagonalize(m, Bounds(steps=5)).verdict == "no"
+    assert is_quasi_gorenstein(m, Bounds(steps=5)).verdict == "yes"
