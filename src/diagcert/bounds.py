@@ -17,7 +17,7 @@ import functools
 import inspect
 import os
 from contextvars import ContextVar
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 DEFAULT_STEPS = 1_000_000
 
@@ -68,14 +68,16 @@ class Bounds:
 
     degree/height bound the coefficient pool used by element enumeration
     (monomial total degree <= degree, integer coefficients with |c| <= height).
-    steps caps the reduction steps of each Groebner computation; search_nodes
-    caps the elementary operation search; iso_candidates caps the isomorphism
-    candidate sweep; sample_elements caps annihilator-lattice sampling.
+    steps caps the reduction steps of each Groebner computation; its default
+    is `DIAGCERT_BUDGET` or DEFAULT_STEPS, read when the Bounds is made.
+    search_nodes caps the elementary operation search; iso_candidates caps the
+    isomorphism candidate sweep; sample_elements caps annihilator-lattice
+    sampling.
     """
 
     degree: int = 2
     height: int = 3
-    steps: int = DEFAULT_STEPS
+    steps: int = field(default_factory=_env_steps)
     search_nodes: int = 20_000
     iso_candidates: int = 4_000
     sample_elements: int = 500
@@ -86,10 +88,6 @@ class Bounds:
                      "iso_candidates", "sample_elements"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"bound {name!r} must be positive")
-
-    @staticmethod
-    def default() -> "Bounds":
-        return Bounds(steps=_env_steps())
 
     def to_json(self) -> dict:
         return asdict(self)

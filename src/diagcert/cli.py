@@ -36,10 +36,8 @@ class CommandRequest:
 
 
 def _bounds_from_args(args) -> Bounds:
-    defaults = Bounds.default()
     return Bounds(degree=args.degree, height=args.height,
-                  steps=args.steps if args.steps else defaults.steps,
-                  seed=args.seed)
+                  steps=args.steps or Bounds().steps, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

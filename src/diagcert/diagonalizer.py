@@ -12,6 +12,13 @@ every diagonal candidate up to associates and order, and refute each by a
 Fitting-ideal mismatch.  Exhaustiveness rests on the factorization being
 complete; an incomplete one forces Unknown.
 
+Order: the search runs until it first stalls (no improving greedy move), then
+the No path runs once; if it refutes every candidate the verdict is No at
+once, otherwise the plateau escape and the rest of the search go on unchanged.
+A search that runs out of budget before it ever stalls refutes afterwards.
+The refutation never starts before the search, because enumerating the
+candidates is costly where the search succeeds at once.
+
 Neither path is complete, so Unknown is a legitimate outcome.
 """
 
@@ -22,7 +29,8 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .bounds import Bounds, applies_bounds
-from .errors import FullRankRequiredError, InternalInvariantError
+from .errors import (FullRankRequiredError, InternalInvariantError,
+                     StepBudgetExceeded)
 from .factorize import FactorResult, factor
 from .filtration import (FiltrationSearchResult, filtration_from_decomposition,
                          search_minimal_cyclic_filtration)
@@ -139,7 +147,8 @@ def _state_key(rows):
 class _Search:
     """Bounded elementary-operation search on one matrix."""
 
-    def __init__(self, m: RingMatrix, bounds: Bounds, node_budget: int):
+    def __init__(self, m: RingMatrix, bounds: Bounds, node_budget: int,
+                 on_stall=None):
         from .homalg import element_pool
         self.ring = m.ring
         self.n = m.nrows
@@ -149,6 +158,7 @@ class _Search:
         self.ops = []
         self.rows = [list(r) for r in m.rows]
         self.frozen = 0      # rows/cols below this index are finished
+        self.on_stall = on_stall  # called once at the first plateau; True stops
 
     def _spend(self, k=1) -> bool:
         self.budget -= k
@@ -231,7 +241,14 @@ class _Search:
             sub = [r[self.frozen:] for r in self.rows[self.frozen:]]
             if not sub or _is_diagonal(sub):
                 return list(self.ops)
-            if not self._greedy_step() and not self._plateau_escape():
+            if self._greedy_step():
+                continue
+            if self.budget < 0:
+                return None
+            hook, self.on_stall = self.on_stall, None
+            if hook is not None and hook():
+                return None
+            if not self._plateau_escape():
                 return None
             if self.budget < 0:
                 return None
@@ -331,8 +348,12 @@ class ObstructionRecord:
         recorded = {tuple(str(d) for d in r.diagonal) for r in self.refutations}
         if expected != recorded:
             return False
+        matrix_fitting = {}
         for r in self.refutations:
-            if fitting_ideal(m, r.fitting_index) != r.matrix_ideal:
+            k = r.fitting_index
+            if k not in matrix_fitting:
+                matrix_fitting[k] = fitting_ideal(m, k)
+            if matrix_fitting[k] != r.matrix_ideal:
                 return False
             cand_matrix = RingMatrix.diagonal(m.ring, list(r.diagonal))
             if fitting_ideal(cand_matrix, r.fitting_index) != r.candidate_ideal:
@@ -379,9 +400,10 @@ def _diagonal_candidates(ring, factorization: FactorResult, n: int):
 
 
 def _try_obstruction(m: RingMatrix, det: RingElement):
+    """An ObstructionRecord refuting every candidate diagonal, or None."""
     factorization = factor(det)
     if not factorization.complete:
-        return None, factorization
+        return None
     n = m.nrows
     matrix_fitting = {k: fitting_ideal(m, k) for k in range(1, n)}
     refutations = []
@@ -395,12 +417,12 @@ def _try_obstruction(m: RingMatrix, det: RingElement):
                 hit = CandidateRefutation(cand, k, lhs, rhs)
                 break
         if hit is None:
-            return None, factorization  # a candidate survives; cannot refute
+            return None  # a candidate survives; cannot refute
         refutations.append(hit)
     record = ObstructionRecord(factorization, tuple(refutations))
     if not record.verify(m):
         raise InternalInvariantError("obstruction record failed re-verification")
-    return record, factorization
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +488,7 @@ def _canonicalize_diagonal(cert: EquivalenceCertificate) -> EquivalenceCertifica
 @applies_bounds
 def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
     """Decide equivalence of a full-rank square matrix to a diagonal matrix."""
-    bounds = bounds or Bounds.default()
+    bounds = bounds or Bounds()
     if not m.is_square():
         raise FullRankRequiredError("square matrix required")
     det = determinant(m)
@@ -499,8 +521,21 @@ def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
         from .linalg import smith_normal_form
         return _finish(smith_normal_form(m).certificate, "smith-normal-form")
 
+    # refute the candidates once, when the search first stalls; a search
+    # that runs out of budget before stalling refutes afterwards.  A step
+    # budget error is held until the search fails, where it would have
+    # surfaced had the refutation run last.
+    refuted = []
+
+    def refute():
+        try:
+            refuted.append(_try_obstruction(m, det))
+        except StepBudgetExceeded as exc:
+            refuted.append(exc)
+        return isinstance(refuted[0], ObstructionRecord)
+
     yes_budget = int(bounds.search_nodes * 0.7)
-    search = _Search(m, bounds, yes_budget)
+    search = _Search(m, bounds, yes_budget, on_stall=refute)
     ops = search.run()
     if ops is not None:
         cert = _certificate_from_ops(m, ops)
@@ -508,7 +543,11 @@ def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
             raise InternalInvariantError("search returned a non-diagonal target")
         return _finish(cert, "elementary-search")
 
-    record, factorization = _try_obstruction(m, det)
+    if not refuted:
+        refute()
+    record = refuted[0]
+    if isinstance(record, StepBudgetExceeded):
+        raise record
     if record is not None:
         return DiagonalizeResult("no", obstruction=record, bounds=bounds,
                                  method="fitting-obstruction")
@@ -569,7 +608,7 @@ class DiagnosisReport:
 def analyze(m: RingMatrix, bounds: Bounds = None, claims: dict = None) -> DiagnosisReport:
     """Run the full pipeline and cross-check the implications between the
     verdicts.  Violated implications become discrepancies, never silenced."""
-    bounds = bounds or Bounds.default()
+    bounds = bounds or Bounds()
     claims = dict(claims or {})
     report = DiagnosisReport(matrix=m, bounds=bounds, claims=claims)
     if not m.is_square():

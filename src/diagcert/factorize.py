@@ -360,15 +360,17 @@ def _kronecker_image(a: RingElement, weights, to_int):
 
 
 def _kronecker_preimage(ring, c, weights, base):
+    """Undo _kronecker_image: base-`base` digits of each exponent, lowest
+    first, go to the variables of nonzero weight in increasing weight."""
+    order = [i for w, i in sorted((w, i) for i, w in enumerate(weights) if w)]
     terms = {}
-    n = ring.nvars
     for t, coeff in enumerate(c):
         if coeff == 0:
             continue
-        exp = []
+        exp = [0] * ring.nvars
         rem = t
-        for _ in range(n):
-            exp.append(rem % base)
+        for i in order:
+            exp[i] = rem % base
             rem //= base
         if rem:
             return None

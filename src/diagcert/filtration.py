@@ -132,7 +132,7 @@ def sample_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSample:
     Every recorded annihilator is re-certified by element_annihilator; the
     enumeration is canonical, so the sample is reproducible.
     """
-    bounds = bounds or Bounds.default()
+    bounds = bounds or Bounds()
     entries = []
     seen_ideals = []
     handle = M.handle()
@@ -160,7 +160,7 @@ def sample_basis_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSampl
     Used to verify decomposition-built filtrations, whose quotient ideals are
     basis-vector annihilators by construction.
     """
-    bounds = bounds or Bounds.default()
+    bounds = bounds or Bounds()
     entries = [SampleEntry(FreeVector.zero(M.ring, M.gens),
                            IdealHandle(M.ring, [M.ring.one()]),
                            True, M.ring.one())] if M.gens else []
@@ -410,7 +410,7 @@ def search_minimal_cyclic_filtration(M: FPModule,
     backtracking across candidates in the minimal layer.  Rejections are
     recorded: non-minimal candidates and dead-ended chains both appear in the
     result for inspection."""
-    bounds = bounds or Bounds.default()
+    bounds = bounds or Bounds()
     sample = sample_lattice(M, bounds)
     rejected = []
     state = {"depth_limited": False}

@@ -692,7 +692,7 @@ def _iso_candidates(generators, ring, bounds: Bounds):
 @applies_bounds
 def is_isomorphic(M: FPModule, N: FPModule, bounds: Bounds = None) -> IsoResult:
     """Certified isomorphism test; see the module docstring for the contract."""
-    bounds = bounds or Bounds.default()
+    bounds = bounds or Bounds()
     if M.ring != N.ring:
         raise UsageError("modules over different rings")
     ring = M.ring
@@ -823,7 +823,7 @@ def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
     bounded module-isomorphism search is the fallback.  Yes verdicts include
     the grade-one certification.
     """
-    bounds = bounds or Bounds.default()
+    bounds = bounds or Bounds()
     if not m.is_square():
         raise FullRankRequiredError("square matrix required")
     det = determinant(m)
@@ -898,7 +898,7 @@ class SplitResult:
 def split_test(M: FPModule, sub_generators, quotient: FPModule = None,
                bounds: Bounds = None) -> SplitResult:
     """Does M split as the given submodule plus its quotient?"""
-    bounds = bounds or Bounds.default()
+    bounds = bounds or Bounds()
     sub = submodule_presentation(M, sub_generators)
     quo = quotient if quotient is not None else quotient_presentation(M, sub_generators)
     total = sub.direct_sum(quo)

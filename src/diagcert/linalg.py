@@ -394,8 +394,7 @@ class Workbench:
         return RingMatrix(self.ring, self.a)
 
     def apply(self, op):
-        if isinstance(op, (RowScale, ColScale)) and not op.unit.is_unit():
-            raise UsageError(f"cannot scale by the non-unit {op.unit}")
+        _validate_op(self.source, op)
         self.transcript.append(op)
         apply_in_place(self.a, op)
         apply_in_place(self.p if op.side == "left" else self.q, op)

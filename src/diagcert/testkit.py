@@ -94,7 +94,7 @@ def scramble(D: RingMatrix, recipe: ScrambleRecipe):
 def random_recipe(ring: RingDescriptor, size: int, op_count: int, seed: int,
                   bounds: Bounds = None) -> ScrambleRecipe:
     """Draw elementary operations with multipliers from the bounded pool."""
-    bounds = bounds or Bounds.default()
+    bounds = bounds or Bounds()
     rng = random.Random(seed)
     pool = element_pool(ring, bounds)
     ops = []

@@ -218,6 +218,18 @@ def test_library_applies_step_bound(fixtures_dir, name, expected):
     assert verdict(call(Bounds())) == expected
 
 
+@pytest.mark.parametrize("name", ["sample_lattice", "search"])
+def test_one_default_for_steps(fixtures_dir, monkeypatch, name):
+    # Bounds() and bounds=None read the same DIAGCERT_BUDGET default
+    monkeypatch.setenv("DIAGCERT_BUDGET", "5")
+    call, _ = _jordan_calls(fixtures_dir)[name]
+    assert Bounds().steps == 5
+    with pytest.raises(StepBudgetExceeded):
+        call(Bounds())
+    with pytest.raises(StepBudgetExceeded):
+        call(None)
+
+
 def test_step_bound_caps_each_computation(fixtures_dir):
     doc = load_document(str(fixtures_dir / "jordan_block.json"))
     m, _ = matrix_from_json(doc)

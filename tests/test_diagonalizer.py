@@ -1,8 +1,9 @@
 import pytest
 
+from diagcert.bounds import Bounds
 from diagcert.diagonalizer import (analyze, diagonalize,
                                    transpose_certificate_from_diagonal)
-from diagcert.errors import FullRankRequiredError
+from diagcert.errors import FullRankRequiredError, StepBudgetExceeded
 from diagcert.jsonio import dumps
 from diagcert.linalg import RingMatrix, fitting_ideal, verify_certificate
 
@@ -160,3 +161,135 @@ def test_scrambled_analyze_consistency(qxy):
     for k in range(1, 3):
         assert fitting_ideal(report.diagonalizable.certificate.target, k) == \
             fitting_ideal(D, k)
+
+
+# ---------------------------------------------------------------------------
+# refutation at the first stall of the search
+
+
+def _fixture_matrix(fixtures_dir, name):
+    from diagcert.jsonio import load_document, matrix_from_json
+    return matrix_from_json(load_document(str(fixtures_dir / name)))[0]
+
+
+def _ideal(gens):
+    return {"generators": gens, "groebner": gens}
+
+
+JORDAN_NO = {
+    "method": "fitting-obstruction",
+    "obstruction": {
+        "candidates_refuted": [
+            {"candidate_ideal": {"generators": ["1", "x^2"],
+                                 "groebner": ["1"]},
+             "diagonal": ["1", "x^2"], "fitting_index": 1,
+             "matrix_ideal": _ideal(["y", "x"])},
+            {"candidate_ideal": _ideal(["x"]),
+             "diagonal": ["x", "x"], "fitting_index": 1,
+             "matrix_ideal": _ideal(["y", "x"])}],
+        "determinant_factorization": {"complete": True,
+                                      "factors": [["x", 2]], "unit": "1"}},
+    "verdict": "no"}
+
+TRIANGULAR_YES = {
+    "certificate": {
+        "left": [["1", "-x"], ["0", "1"]],
+        "right": [["1", "x"], ["0", "1"]],
+        "ring": {"coefficients": "integers", "kind": "polynomial",
+                 "order": "lex", "variables": ["x"]},
+        "source": [["2", "x"], ["0", "3"]],
+        "target": [["2", "0"], ["0", "3"]],
+        "transcript": [
+            {"dst": 1, "mult": "x", "op": "col_add", "src": 0},
+            {"dst": 0, "mult": "-x", "op": "row_add", "src": 1}]},
+    "diagonal": ["2", "3"],
+    "method": "elementary-search",
+    "verdict": "yes",
+    "verified": True}
+
+
+@pytest.fixture
+def obstruction_calls(monkeypatch):
+    import diagcert.diagonalizer as dz
+    calls = []
+    real = dz._try_obstruction
+
+    def spy(m, det):
+        calls.append(m)
+        return real(m, det)
+
+    monkeypatch.setattr(dz, "_try_obstruction", spy)
+    return calls
+
+
+def test_no_is_decided_before_the_plateau_escape(fixtures_dir, monkeypatch):
+    import diagcert.diagonalizer as dz
+
+    def escape(self):
+        raise AssertionError("plateau escape ran on a refutable matrix")
+
+    monkeypatch.setattr(dz._Search, "_plateau_escape", escape)
+    m = _fixture_matrix(fixtures_dir, "jordan_block.json")
+    assert dumps(diagonalize(m).to_json()) == dumps(JORDAN_NO)
+
+
+@pytest.mark.parametrize("bounds", [Bounds(), Bounds(steps=5)])
+def test_stall_then_yes_keeps_its_certificate(fixtures_dir, bounds,
+                                              obstruction_calls):
+    m = _fixture_matrix(fixtures_dir, "triangular_int.json")
+    assert dumps(diagonalize(m, bounds).to_json()) == dumps(TRIANGULAR_YES)
+    assert len(obstruction_calls) == 1
+
+
+def test_budget_spent_before_any_stall_refutes_after(fixtures_dir,
+                                                     monkeypatch):
+    import diagcert.diagonalizer as dz
+    events = []
+    real_run, real_refute = dz._Search.run, dz._try_obstruction
+
+    def run(self):
+        events.append("search")
+        return real_run(self)
+
+    def refute(m, det):
+        events.append("refute")
+        return real_refute(m, det)
+
+    monkeypatch.setattr(dz._Search, "run", run)
+    monkeypatch.setattr(dz, "_try_obstruction", refute)
+    m = _fixture_matrix(fixtures_dir, "jordan_block.json")
+    result = diagonalize(m, Bounds(search_nodes=1))
+    assert dumps(result.to_json()) == dumps(JORDAN_NO)
+    assert events == ["search", "refute"]
+
+
+@pytest.mark.parametrize("name,bounds,verdict", [
+    ("jordan_block.json", Bounds(), "no"),
+    ("jordan_block.json", Bounds(search_nodes=1), "no"),
+    ("triangular_int.json", Bounds(), "yes"),
+    ("triangular_int.json", Bounds(search_nodes=1), "unknown"),
+    # stalls, a candidate survives, then the plateau escape runs out
+    ("triangular_int.json", Bounds(search_nodes=40), "unknown"),
+])
+def test_refutation_runs_at_most_once(fixtures_dir, obstruction_calls,
+                                      name, bounds, verdict):
+    m = _fixture_matrix(fixtures_dir, name)
+    assert diagonalize(m, bounds).verdict == verdict
+    assert len(obstruction_calls) == 1
+
+
+def test_budget_error_in_early_refutation_waits_for_the_search(
+        fixtures_dir, monkeypatch):
+    # a refutation that runs out of Groebner steps at the stall must not
+    # cost a yes the search still finds; if the search fails, the error
+    # surfaces as it would have with the refutation last
+    import diagcert.diagonalizer as dz
+
+    def exhausted(m, det):
+        raise StepBudgetExceeded("groebner step budget exhausted")
+
+    monkeypatch.setattr(dz, "_try_obstruction", exhausted)
+    m = _fixture_matrix(fixtures_dir, "triangular_int.json")
+    assert dumps(diagonalize(m).to_json()) == dumps(TRIANGULAR_YES)
+    with pytest.raises(StepBudgetExceeded):
+        diagonalize(m, Bounds(search_nodes=40))

@@ -123,3 +123,82 @@ def test_factor_against_sympy(qx):
         mine = sum(m for p, m in r.factors if not p.is_constant())
         theirs = sum(m for f, m in sympy.factor_list(se)[1] if not f.is_number)
         assert mine == theirs, (str(e), as_strs(r))
+
+
+BIVARIATE = {
+    # coefficients -> the irreducibles that the benchmark's seed diagonals use
+    "rationals": ("x", "y", "x + 1", "y - 1", "x + y"),
+    "integers": ("2", "x", "y", "x + 1", "y - 1", "x + y"),
+    5: ("x", "y", "x + 1", "y + 2", "x + y"),
+}
+
+
+def bivariate(coeffs):
+    from diagcert.rings import RingDescriptor
+    return RingDescriptor.polynomial(coeffs, ["x", "y"], "grevlex")
+
+
+@pytest.mark.parametrize("coeffs", list(BIVARIATE))
+def test_factor_without_the_first_variable(coeffs):
+    # the Kronecker lift must decode exponents into y, not into x
+    ring = bivariate(coeffs)
+    r = factor(ring.parse("y^2 - 2*y + 1"))
+    assert r.factors == [(ring.parse("y - 1"), 2)] and r.complete
+    r = factor(ring.parse("y^2 - 1"))
+    assert as_strs(r) == sorted([(str(ring.parse("y - 1")), 1),
+                                 (str(ring.parse("y + 1")), 1)])
+    assert r.complete
+
+
+def test_factor_mixed_product_complete(qxy):
+    r = factor(qxy.parse("x*y*(y - 1)^2*(x + 1)"))
+    assert as_strs(r) == sorted([("x", 1), ("y", 1), ("y - 1", 2),
+                                 ("x + 1", 1)])
+    assert r.complete
+
+
+@pytest.mark.parametrize("coeffs", ["rationals", "integers"])
+def test_bivariate_products_against_sympy(coeffs):
+    import sympy
+    from itertools import combinations_with_replacement
+    ring = bivariate(coeffs)
+    x, y = sympy.symbols("x y")
+    names = BIVARIATE[coeffs]
+    for size in (1, 2, 3):
+        for combo in combinations_with_replacement(names, size):
+            text = "*".join(f"({s})" for s in combo)
+            e = ring.parse(text)
+            if e.is_unit():
+                continue
+            r = factor(e)
+            assert r.complete, text
+            mine = {(str(p), m) for p, m in r.factors if not p.is_constant()}
+            _, theirs = sympy.factor_list(sympy.sympify(text, {"x": x, "y": y}))
+            theirs = {(str(ring.parse(str(f).replace("**", "^"))
+                           .canonical_associate()[1]), m)
+                      for f, m in theirs if not f.is_number}
+            assert mine == theirs, text
+
+
+def test_trial_42_scramble_keeps_a_candidate():
+    # criterion 4, trial 42: a scrambled diagonal whose determinant has the
+    # factor (y - 1)^2; a missed repeated factor refuted its true diagonal
+    from diagcert.diagonalizer import _try_obstruction
+    from diagcert.linalg import RingMatrix, determinant
+    from diagcert.testkit import random_recipe, scramble
+    ring = bivariate("rationals")
+    irreducibles = [ring.parse(s) for s in ["x", "y", "x+1", "y-1", "x+y"]]
+    trial = 42
+    rng = random.Random(48607 + trial)
+    n = rng.choice([2, 2, 3])
+    entries = []
+    for _ in range(n):
+        e = rng.choice(irreducibles)
+        if rng.random() < 0.5:
+            e = e * rng.choice(irreducibles)
+        entries.append(e)
+    recipe = random_recipe(ring, n, rng.randint(1, 6), seed=90000 + trial)
+    scrambled, _ = scramble(RingMatrix.diagonal(ring, entries), recipe)
+    det = determinant(scrambled)
+    assert (ring.parse("y - 1"), 2) in factor(det).factors
+    assert _try_obstruction(scrambled, det) is None

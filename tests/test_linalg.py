@@ -5,7 +5,7 @@ import pytest
 
 from diagcert.errors import NotEuclideanError, UsageError
 from diagcert.linalg import (ColAdd, EquivalenceCertificate, RingMatrix,
-                             RowScale, RowSwap, Workbench, apply_elementary,
+                             RowAdd, RowScale, RowSwap, Workbench, apply_elementary,
                              determinant, fitting_ideal, inverse_unimodular,
                              smith_normal_form, verify_certificate)
 
@@ -120,6 +120,19 @@ def test_scale_by_non_unit_rejected(zx):
         apply_elementary(tri, RowScale(0, zx.parse("2")))
     with pytest.raises(UsageError):
         apply_elementary(tri, RowScale(0, zx.parse("x")))
+
+
+def test_workbench_rejects_what_apply_elementary_rejects(zz):
+    m = RingMatrix.parse(zz, [["2", "1"], ["0", "3"]])
+    bad = RowAdd(0, 0, zz.from_int(-1))   # would zero row 0
+    with pytest.raises(UsageError):
+        apply_elementary(m, bad)
+    bench = Workbench(m)
+    with pytest.raises(UsageError):
+        bench.apply(bad)
+    with pytest.raises(UsageError):
+        bench.apply(RowSwap(0, 2))
+    assert bench.transcript == [] and bench.certificate().verify().valid
 
 
 def test_verify_certificate_identity_and_tampered(zx):
