@@ -5,7 +5,8 @@ search over elementary operations runs in phases: forced simplifications
 (clear around unit entries, split off isolated pivots), greedy division-guided
 reduction steps, and a bounded best-first escape from plateaus using a small
 multiplier pool.  Any sequence that reaches a diagonal matrix is replayed
-through a Workbench and the resulting certificate independently verified.
+through one Workbench, its diagonal canonicalized there, and the resulting
+certificate independently verified.
 
 No path: factor the determinant (complete factorizations only), enumerate
 every diagonal candidate up to associates and order, and refute each by a
@@ -37,9 +38,8 @@ from .filtration import (FiltrationSearchResult, filtration_from_decomposition,
 from .homalg import (FPModule, QGResult, is_quasi_gorenstein,
                      transpose_equivalence_from_diagonal)
 from .linalg import (ColAdd, ColScale, ColSwap, EquivalenceCertificate,
-                     RingMatrix, RowAdd, RowScale, RowSwap, Workbench,
-                     apply_in_place, determinant, fitting_ideal,
-                     inverse_unimodular)
+                     RingMatrix, RowAdd, RowSwap, Workbench, apply_in_place,
+                     determinant, fitting_ideal, inverse_unimodular)
 from .rings import IdealHandle, RingElement
 
 
@@ -459,32 +459,6 @@ class DiagonalizeResult:
         return out
 
 
-def _certificate_from_ops(m: RingMatrix, ops) -> EquivalenceCertificate:
-    bench = Workbench(m)
-    for op in ops:
-        bench.apply(op)
-    cert = bench.certificate()
-    check = cert.verify()
-    if not check.valid:
-        raise InternalInvariantError(f"search certificate invalid: {check.reason}")
-    return cert
-
-
-def _canonicalize_diagonal(cert: EquivalenceCertificate) -> EquivalenceCertificate:
-    """Scale rows by units so every diagonal entry is a canonical associate."""
-    bench = Workbench(cert.target)
-    for i, e in enumerate(cert.target.diagonal_entries()):
-        if e.is_zero():
-            continue
-        unit, _ = e.canonical_associate()
-        if not unit.is_unit():
-            raise InternalInvariantError("non-unit canonical factor")
-        if unit != cert.target.ring.one():
-            bench.apply(RowScale(i, unit.invert_unit()))
-    from .linalg import compose_equivalences
-    return compose_equivalences(cert, bench.certificate())
-
-
 @applies_bounds
 def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
     """Decide equivalence of a full-rank square matrix to a diagonal matrix."""
@@ -497,7 +471,6 @@ def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
     ring = m.ring
 
     def _finish(cert, method):
-        cert = _canonicalize_diagonal(cert)
         check = cert.verify()
         if not check.valid:
             raise InternalInvariantError(f"certificate invalid: {check.reason}")
@@ -507,15 +480,15 @@ def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
 
     if det.is_unit():
         # the module is zero; m is equivalent to the identity
-        inv = inverse_unimodular(m)
-        cert = EquivalenceCertificate(
-            source=m, left=inv, right=RingMatrix.identity(ring, m.nrows),
-            target=RingMatrix.identity(ring, m.nrows))
-        return _finish(cert, "unit-determinant")
+        ident = RingMatrix.identity(ring, m.nrows)
+        return _finish(EquivalenceCertificate(m, inverse_unimodular(m),
+                                              ident, ident),
+                       "unit-determinant")
 
     if m.is_diagonal():
-        ident = RingMatrix.identity(ring, m.nrows)
-        return _finish(EquivalenceCertificate(m, ident, ident, m), "already-diagonal")
+        bench = Workbench(m)
+        bench.canonicalize_diagonal()
+        return _finish(bench.certificate(), "already-diagonal")
 
     if ring.is_euclidean():
         from .linalg import smith_normal_form
@@ -538,10 +511,13 @@ def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
     search = _Search(m, bounds, yes_budget, on_stall=refute)
     ops = search.run()
     if ops is not None:
-        cert = _certificate_from_ops(m, ops)
-        if not cert.target.is_diagonal():
+        bench = Workbench(m)
+        for op in ops:
+            bench.apply(op)
+        if not _is_diagonal(bench.a):
             raise InternalInvariantError("search returned a non-diagonal target")
-        return _finish(cert, "elementary-search")
+        bench.canonicalize_diagonal()
+        return _finish(bench.certificate(), "elementary-search")
 
     if not refuted:
         refute()

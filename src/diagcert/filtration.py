@@ -20,7 +20,8 @@ from itertools import product
 from .bounds import Bounds, applies_bounds
 from .errors import InternalInvariantError, UsageError
 from .groebner import FreeVector
-from .homalg import FPModule, element_annihilator, quotient_presentation
+from .homalg import (FPModule, element_annihilator, element_pool,
+                     quotient_presentation)
 from .linalg import RingMatrix
 from .rings import IdealHandle, RingDescriptor, RingElement
 
@@ -31,43 +32,11 @@ SEARCH_DEPTH_LIMIT = 12
 # element enumeration and lattice sampling
 
 
-def _coefficient_values(ring, height):
-    out = [ring.zero()]
-    for c in range(1, height + 1):
-        out.append(ring.from_int(c))
-        out.append(ring.from_int(-c))
-    return out
-
-
-def _monomial_values(ring, degree, height):
-    out = []
-    if not ring.nvars:
-        return out
-    exps = []
-    for total in range(1, degree + 1):
-        exps.extend(_exps_of_degree(ring.nvars, total))
-    exps.sort(key=ring.monomial_key)
-    for exp in exps:
-        for c in range(1, height + 1):
-            out.append(ring.monomial(exp, ring.coeffs.from_int(c)))
-            out.append(ring.monomial(exp, ring.coeffs.from_int(-c)))
-    return out
-
-
-def _exps_of_degree(nvars, total):
-    if nvars == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _exps_of_degree(nvars - 1, total - first):
-            out.append((first,) + rest)
-    return out
-
-
 def enumerate_elements(ring: RingDescriptor, rank: int, bounds: Bounds):
     """Canonically ordered nonzero vectors: integer coefficient combinations
     first (by height then position), then single monomial multiples."""
-    values = _coefficient_values(ring, bounds.height)
+    pool = element_pool(ring, bounds)
+    values = [ring.zero()] + pool[:2 * bounds.height]
     order = {v: i for i, v in enumerate(values)}
     combos = [c for c in product(values, repeat=rank)
               if any(not x.is_zero() for x in c)]
@@ -75,7 +44,7 @@ def enumerate_elements(ring: RingDescriptor, rank: int, bounds: Bounds):
                                sum(order[x] for x in c),
                                tuple(order[x] for x in c)))
     out = [FreeVector(ring, c) for c in combos]
-    for mono in _monomial_values(ring, bounds.degree, bounds.height):
+    for mono in pool[2 * bounds.height:]:
         for i in range(rank):
             comps = [ring.zero()] * rank
             comps[i] = mono
@@ -113,9 +82,6 @@ class AnnihilatorSample:
             if all(e.ideal != s for s in seen):
                 seen.append(e.ideal)
         return seen
-
-    def proper_ideals(self):
-        return [i for i in self.ideals() if i.is_proper()]
 
     def contains_ideal(self, ideal: IdealHandle) -> bool:
         return any(ideal == e for e in self.ideals())

@@ -415,9 +415,6 @@ class SubmoduleHandle:
     def groebner_vectors(self):
         return tuple(vec for vec, _ in self.reduced_groebner())
 
-    def is_zero_module(self) -> bool:
-        return not self.groebner_vectors()
-
     def contains(self, v: FreeVector):
         """(True, witness) with v = sum(witness[i] * generators[i]), or (False, None)."""
         if v.ring != self.ring or v.rank != self.rank:
@@ -454,9 +451,6 @@ class SubmoduleHandle:
         if self.ring != other.ring or self.rank != other.rank:
             return False
         return self.groebner_vectors() == other.groebner_vectors()
-
-    def contains_submodule(self, other: "SubmoduleHandle") -> bool:
-        return all(self.contains(g)[0] for g in other.generators)
 
     def sort_key(self):
         return tuple(v.sort_key() for v in self.groebner_vectors())

@@ -237,7 +237,7 @@ def free_resolution(M: FPModule, length: int) -> FreeResolution:
         return FreeResolution(M, (), True)
     current = M.presentation_matrix()
     diffs.append(current)
-    while len(diffs) < length:
+    while len(diffs) <= length:
         syz = syzygies(SubmoduleHandle(M.ring, current.nrows, current.columns()))
         if not syz.generators:
             complete = True
@@ -246,36 +246,9 @@ def free_resolution(M: FPModule, length: int) -> FreeResolution:
                              [[w.comps[i] for w in syz.generators]
                               for i in range(current.ncols)])
         diffs.append(current)
-    else:
-        syz = syzygies(SubmoduleHandle(M.ring, current.nrows, current.columns()))
-        complete = not syz.generators
-        if syz.generators:
-            current = RingMatrix(M.ring,
-                                 [[w.comps[i] for w in syz.generators]
-                                  for i in range(current.ncols)])
-            diffs.append(current)
     res = FreeResolution(M, tuple(diffs), complete)
     res.verify()
     return res
-
-
-def _subquotient_presentation(ring, rank, kernel_gens, image_gens) -> FPModule:
-    """Presentation of span(kernel_gens)/span(image_gens) inside R^rank."""
-    if not kernel_gens:
-        return FPModule.zero(ring)
-    std = [FreeVector.basis(ring, rank, i) for i in range(rank)]
-    if list(kernel_gens) == std:
-        return FPModule(ring, rank, image_gens)
-    combined = SubmoduleHandle(ring, rank,
-                               tuple(kernel_gens) + tuple(image_gens))
-    syz = syzygies(combined)
-    s = len(kernel_gens)
-    rels = []
-    for w in syz.generators:
-        head = w.comps[:s]
-        if any(not c.is_zero() for c in head):
-            rels.append(FreeVector(ring, head))
-    return FPModule(ring, s, rels)
 
 
 def ext(M: FPModule, i: int) -> FPModule:
@@ -290,17 +263,23 @@ def ext(M: FPModule, i: int) -> FPModule:
             raise InternalInvariantError("resolution neither long enough nor complete")
         return FPModule.zero(ring)
     rank_i = res.rank(i)
+    std = [FreeVector.basis(ring, rank_i, k) for k in range(rank_i)]
     if i < L:
         dual_next = res.diffs[i].transpose()
         syz = syzygies(SubmoduleHandle(ring, dual_next.nrows, dual_next.columns()))
         kernel_gens = list(syz.generators)
     else:
-        kernel_gens = [FreeVector.basis(ring, rank_i, k) for k in range(rank_i)]
+        kernel_gens = std
     if i == 0:
         image_gens = []
     else:
         image_gens = res.diffs[i - 1].transpose().columns()
-    return _subquotient_presentation(ring, rank_i, kernel_gens, image_gens)
+    if not kernel_gens:
+        return FPModule.zero(ring)
+    if kernel_gens == std:
+        return FPModule(ring, rank_i, image_gens)
+    return submodule_presentation(FPModule(ring, rank_i, image_gens),
+                                  kernel_gens)
 
 
 @dataclass(frozen=True)
@@ -410,11 +389,6 @@ class ModuleHom:
             if not handle.contains(diff)[0]:
                 return False
         return True
-
-    def is_zero_mod_relations(self) -> bool:
-        handle = self.target.handle()
-        return all(handle.contains(self.column(q))[0]
-                   for q in range(self.source.gens))
 
     def certified_injective(self) -> bool:
         """True when the kernel provably lands inside the source relations."""
@@ -591,7 +565,10 @@ def module_fitting_ideal(M: FPModule, j: int) -> IdealHandle:
 
 
 def element_pool(ring: RingDescriptor, bounds: Bounds):
-    """Deterministic pool of small ring elements: integers, then monomials."""
+    """Deterministic pool of small ring elements: integers, then monomials.
+
+    The first 2 * bounds.height entries are the integers 1, -1, 2, -2, ...
+    """
     out = []
     for c in range(1, bounds.height + 1):
         out.append(ring.from_int(c))
@@ -678,8 +655,7 @@ def _iso_candidates(generators, ring, bounds: Bounds):
     for c in pool:
         for t in range(k):
             yield [[c * e for e in row] for row in generators[t].matrix]
-    ints = [ring.from_int(v) for v in
-            [x for c in range(1, bounds.height + 1) for x in (c, -c)]]
+    ints = pool[:2 * bounds.height]
     for t1 in range(k):
         for t2 in range(t1 + 1, k):
             for c1 in ints:

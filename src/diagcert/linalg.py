@@ -1,8 +1,13 @@
 """Exact dense matrices over a ring, equivalence certificates, Smith form.
 
+Construction has one determinant, fraction-free (Bareiss) elimination; the
+inverse of a unimodular matrix is built from its Bareiss minors.  For n <= 3
+the determinant is cross-checked against the verifier's own cofactor
+expansion.
+
 Certificates are never trusted: every constructor that emits one re-checks it
 through the independent verifier (see verifier.py), which shares nothing with
-this module beyond ring arithmetic.
+this module beyond ring arithmetic and imports none of it.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import verifier
 from .errors import (InternalInvariantError, NotEuclideanError, UsageError)
 from .rings import IdealHandle, RingDescriptor, RingElement, exact_divide
 
@@ -130,25 +136,12 @@ class RingMatrix:
 # determinants
 
 
-def _det_cofactor(rows, ring):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = ring.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det_cofactor(minor, ring)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def determinant(m: RingMatrix) -> RingElement:
     """Exact determinant by fraction-free elimination.
 
-    Cross-checked against cofactor expansion for n <= 3; a failed exact
-    division inside the elimination is an arithmetic bug and raises.
+    Cross-checked against the verifier's cofactor expansion for n <= 3; a
+    failed exact division inside the elimination is an arithmetic bug and
+    raises.
     """
     if not m.is_square():
         raise UsageError("determinant of a non-square matrix")
@@ -181,38 +174,34 @@ def determinant(m: RingMatrix) -> RingElement:
     if sign < 0:
         det = -det
     if n <= 3:
-        check = _det_cofactor([list(r) for r in m.rows], ring)
-        if check != det:
+        if verifier._det(ring, m.rows) != det:
             raise InternalInvariantError("determinant cross-check failed")
     return det
 
 
-def adjugate(m: RingMatrix) -> RingMatrix:
-    n = m.nrows
-    ring = m.ring
-    if n == 1:
-        return RingMatrix(ring, [[ring.one()]])
-    out = [[ring.zero()] * n for _ in range(n)]
-    idx = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            minor = [[m.rows[r][c] for c in idx if c != j]
-                     for r in idx if r != i]
-            cof = _det_cofactor(minor, ring)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out[j][i] = cof
-    return RingMatrix(ring, out)
-
-
 def inverse_unimodular(m: RingMatrix) -> RingMatrix:
-    """Exact inverse of a matrix whose determinant is a unit."""
+    """Exact inverse of a matrix whose determinant is a unit.
+
+    Entry (i, j) is det^-1 * (-1)^(i+j) times the Bareiss determinant of m
+    without row j and column i: O(n^5) ring operations.
+    """
     det = determinant(m)
     if not det.is_unit():
         raise UsageError("matrix is not unimodular")
     inv_det = det.invert_unit()
-    adj = adjugate(m)
-    return RingMatrix(m.ring, [[inv_det * e for e in r] for r in adj.rows])
+    n = m.nrows
+    if n == 1:
+        return RingMatrix(m.ring, [[inv_det]])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = determinant(m.submatrix(
+                [r for r in range(n) if r != j],
+                [c for c in range(n) if c != i]))
+            row.append(inv_det * (minor if (i + j) % 2 == 0 else -minor))
+        out.append(row)
+    return RingMatrix(m.ring, out)
 
 
 def fitting_ideal(m: RingMatrix, k: int) -> IdealHandle:
@@ -399,6 +388,19 @@ class Workbench:
         apply_in_place(self.a, op)
         apply_in_place(self.p if op.side == "left" else self.q, op)
 
+    def canonicalize_diagonal(self):
+        """Scale rows by units so every nonzero diagonal entry is its
+        canonical associate."""
+        for i in range(min(self.source.nrows, self.source.ncols)):
+            e = self.a[i][i]
+            if e.is_zero():
+                continue
+            unit, _ = e.canonical_associate()
+            if not unit.is_unit():
+                raise InternalInvariantError("non-unit canonical factor")
+            if unit != self.ring.one():
+                self.apply(RowScale(i, unit.invert_unit()))
+
     def certificate(self) -> "EquivalenceCertificate":
         return EquivalenceCertificate(
             source=self.source,
@@ -423,7 +425,6 @@ class EquivalenceCertificate:
     transcript: tuple = ()
 
     def verify(self):
-        from . import verifier
         return verifier.check_equivalence(self.left, self.source,
                                           self.right, self.target)
 
@@ -441,19 +442,6 @@ class EquivalenceCertificate:
 def verify_certificate(cert: EquivalenceCertificate):
     """Re-check a certificate with independent arithmetic; never trusts it."""
     return cert.verify()
-
-
-def compose_equivalences(first: EquivalenceCertificate,
-                         second: EquivalenceCertificate) -> EquivalenceCertificate:
-    """From P1*m*Q1 = A and P2*A*Q2 = B derive (P2*P1)*m*(Q1*Q2) = B."""
-    if first.target != second.source:
-        raise UsageError("certificates do not chain")
-    return EquivalenceCertificate(
-        source=first.source,
-        left=second.left * first.left,
-        right=first.right * second.right,
-        target=second.target,
-        transcript=first.transcript + second.transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -567,17 +555,7 @@ def smith_normal_form(m: RingMatrix) -> SmithForm:
             progress = False
         if t < min(n, c):
             t += 1
-    # canonicalize the diagonal
-    a = bench.a
-    for i in range(min(n, c)):
-        e = a[i][i]
-        if e.is_zero():
-            continue
-        unit, _ = e.canonical_associate()
-        if not unit.is_unit():
-            raise InternalInvariantError("non-unit canonical factor")
-        if unit != ring.one():
-            bench.apply(RowScale(i, unit.invert_unit()))
+    bench.canonicalize_diagonal()
     cert = bench.certificate()
     check = cert.verify()
     if not check.valid:

@@ -490,12 +490,6 @@ class RingElement:
             return -1
         return max(e[var_index] for e in self._terms)
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
-    def coeff_of(self, exp):
-        return self._terms.get(tuple(exp), self.ring.coeffs.zero())
-
     def variables_used(self):
         used = set()
         for e in self._terms:

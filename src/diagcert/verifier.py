@@ -3,7 +3,9 @@
 This module is the trust anchor for every Yes verdict, so it deliberately
 shares no code with the construction paths beyond ring arithmetic: matrix
 products and determinants are reimplemented here from scratch (cofactor
-expansion, no Bareiss, no Workbench).
+expansion, no Bareiss, no Workbench).  It imports nothing from the package
+at import time.  The dependency runs the other way only: linalg's n <= 3
+self-check of its Bareiss determinant calls _det here.
 """
 
 from __future__ import annotations

@@ -63,6 +63,44 @@ def test_already_diagonal(qxy):
     assert [str(d) for d in result.diagonal_entries()] == ["x", "y"]
 
 
+QXY_JSON = {"coefficients": "rationals", "kind": "polynomial",
+            "order": "grevlex", "variables": ["x", "y"]}
+
+
+def test_already_diagonal_bytes(qxy):
+    m = RingMatrix.diagonal(qxy, [qxy.parse("-x"), qxy.parse("2*y")])
+    assert dumps(diagonalize(m).to_json()) == dumps({
+        "certificate": {
+            "left": [["-1", "0"], ["0", "1/2"]],
+            "right": [["1", "0"], ["0", "1"]],
+            "ring": QXY_JSON,
+            "source": [["-x", "0"], ["0", "2*y"]],
+            "target": [["x", "0"], ["0", "y"]],
+            "transcript": [{"i": 0, "op": "row_scale", "unit": "-1"},
+                           {"i": 1, "op": "row_scale", "unit": "1/2"}]},
+        "diagonal": ["x", "y"],
+        "method": "already-diagonal",
+        "verdict": "yes",
+        "verified": True})
+
+
+def test_unit_determinant_bytes(qxy):
+    # no entry is a unit, so the inverse needs every cofactor
+    m = RingMatrix.parse(qxy, [["1 + x*y", "x^2"], ["-y^2", "1 - x*y"]])
+    assert dumps(diagonalize(m).to_json()) == dumps({
+        "certificate": {
+            "left": [["-x*y + 1", "-x^2"], ["y^2", "x*y + 1"]],
+            "right": [["1", "0"], ["0", "1"]],
+            "ring": QXY_JSON,
+            "source": [["x*y + 1", "x^2"], ["-y^2", "-x*y + 1"]],
+            "target": [["1", "0"], ["0", "1"]]},
+        "diagonal": ["1", "1"],
+        "method": "unit-determinant",
+        "unit_diagonal_entries": ["1", "1"],
+        "verdict": "yes",
+        "verified": True})
+
+
 def test_scramble_roundtrip(qxy):
     from diagcert.testkit import random_recipe, scramble
     D = RingMatrix.diagonal(qxy, [qxy.parse("x*(y - 1)"),

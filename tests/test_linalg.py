@@ -3,7 +3,8 @@ from itertools import permutations
 
 import pytest
 
-from diagcert.errors import NotEuclideanError, UsageError
+from diagcert.errors import (InternalInvariantError, NotEuclideanError,
+                             UsageError)
 from diagcert.linalg import (ColAdd, EquivalenceCertificate, RingMatrix,
                              RowAdd, RowScale, RowSwap, Workbench, apply_elementary,
                              determinant, fitting_ideal, inverse_unimodular,
@@ -166,9 +167,44 @@ def test_verify_rejects_non_unit_transform(zx):
     assert not check.valid and "unit" in check.reason
 
 
-def test_inverse_unimodular(zx):
-    p = RingMatrix.parse(zx, [["1", "-x - 1"], ["-3", "3*x + 4"]])
-    assert p * inverse_unimodular(p) == RingMatrix.identity(zx, 2)
+def test_inverse_unimodular(zx, qxy):
+    for m in (RingMatrix.parse(zx, [["1", "-x - 1"], ["-3", "3*x + 4"]]),
+              # no entry is a unit
+              RingMatrix.parse(qxy, [["1 + x*y", "x^2"],
+                                     ["-y^2", "1 - x*y"]])):
+        inv = inverse_unimodular(m)
+        ident = RingMatrix.identity(m.ring, 2)
+        assert m * inv == ident and inv * m == ident
+    with pytest.raises(UsageError):
+        inverse_unimodular(RingMatrix.parse(qxy, [["x", "1"], ["0", "1"]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ring_name", ["zz", "zx", "qxy", "f5x"])
+def test_inverse_unimodular_of_scrambled_identity(request, ring_name, n):
+    from diagcert.testkit import random_recipe, scramble
+    ring = request.getfixturevalue(ring_name)
+    ident = RingMatrix.identity(ring, n)
+    m, _ = scramble(ident, random_recipe(ring, n, 2 * n, seed=40 + n))
+    # a unit other than 1 on the determinant: -1 over Z, 2 over fields
+    unit = ring.from_int(-1 if ring.coeffs.name == "integers" else 2)
+    m = apply_elementary(m, RowScale(n - 1, unit))
+    inv = inverse_unimodular(m)
+    assert m * inv == ident and inv * m == ident
+    non_unit = ring.parse("x") if ring.nvars else ring.from_int(2)
+    rows = [list(r) for r in m.rows]
+    rows[0] = [non_unit * e for e in rows[0]]
+    with pytest.raises(UsageError):
+        inverse_unimodular(RingMatrix(ring, rows))
+
+
+def test_determinant_cross_check_uses_the_verifier(zz, monkeypatch):
+    from diagcert import verifier
+    m = RingMatrix.parse(zz, [["2", "1"], ["0", "3"]])
+    assert str(determinant(m)) == "6"
+    monkeypatch.setattr(verifier, "_det", lambda ring, a: ring.from_int(7))
+    with pytest.raises(InternalInvariantError):
+        determinant(m)
 
 
 def test_snf_fixtures(zz, qx):
