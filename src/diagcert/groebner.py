@@ -11,11 +11,20 @@ broken by the descriptor's monomial order.  Reduced bases are canonical, so
 submodule and ideal equality are decided by comparing them.
 
 Every basis element carries its expression in terms of the input generators,
-which is how membership witnesses and syzygies are produced.  Syzygy
-generators are re-verified against the generators before being returned.
+which is how membership witnesses are produced; each witness is recombined
+and compared before it is returned.
+
+Syzygies, colon ideals and subquotient presentations all come from one
+elimination basis (`preimage`): tracked vectors t_i get a unit coordinate
+e_i placed after the module's own positions, so under position-over-term the
+basis elements whose lead lies in those last positions have a zero module
+part, and their tracking parts generate {c : sum c_i t_i in S}.  Every
+returned c is re-checked by membership in S.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .bounds import current_steps
 from .errors import InternalInvariantError, StepBudgetExceeded, UsageError
@@ -123,17 +132,19 @@ class _BasisElem:
 
 
 class _Engine:
-    """One Groebner computation; keeps witness tracking and pair syzygies."""
+    """One Groebner computation with witness tracking.
 
-    def __init__(self, ring, rank, gens, keep_syzygies=False):
+    Pairs wait in a heap of (key, i, j, kind) tuples, which are unique, so the
+    smallest module term is always treated first and the run is deterministic.
+    """
+
+    def __init__(self, ring, rank, gens):
         self.ring = ring
         self.rank = rank
         self.dom = ring.coeffs
         self.steps_left = current_steps()
-        self.keep_syzygies = keep_syzygies
         self.gens = list(gens)
         self.basis: list[_BasisElem] = []
-        self.pair_syzygies = []  # vectors over basis indices, as dicts idx -> poly
         self.pairs = []
         self.treated = set()
         n = len(self.gens)
@@ -181,17 +192,15 @@ class _Engine:
         if self.dom.is_field:
             # product criterion: valid over fields, and only for ideals
             # (rank one) -- module S-vectors can survive in other positions
-            if not self.keep_syzygies and self.rank == 1 and \
-                    _exp_gcd_trivial(ei, ej):
+            if self.rank == 1 and _exp_gcd_trivial(ei, ej):
                 return
-            self.pairs.append((key, i, j, "s"))
+            heapq.heappush(self.pairs, (key, i, j, "s"))
         else:
             qi = self.dom.exact_div(cj, ci)
             qj = self.dom.exact_div(ci, cj)
-            self.pairs.append((key, i, j, "s"))
+            heapq.heappush(self.pairs, (key, i, j, "s"))
             if qi is None and qj is None:
-                self.pairs.append((key, i, j, "g"))
-        self.pairs.sort(key=lambda p: (p[0], p[1], p[2], p[3]))
+                heapq.heappush(self.pairs, (key, i, j, "g"))
 
     # reduction -------------------------------------------------------------
     def _find_reducer(self, pos, exp, coeff):
@@ -261,7 +270,7 @@ class _Engine:
         return vec, parts
 
     def _chain_criterion(self, key, i, j):
-        if not self.dom.is_field or self.keep_syzygies:
+        if not self.dom.is_field:
             return False
         pos = self.basis[i].lead[0]
         lcm_exp = _exp_lcm(self.basis[i].lead[1], self.basis[j].lead[1])
@@ -278,20 +287,14 @@ class _Engine:
 
     def _run(self):
         while self.pairs:
-            key, i, j, kind = self.pairs.pop(0)
+            key, i, j, kind = heapq.heappop(self.pairs)
             if kind == "s":
                 self.treated.add((min(i, j), max(i, j)))
             if self._chain_criterion(key, i, j):
                 continue
             vec, parts = self._pair_vector(i, j, kind)
             nf, combo = self._normal_form(vec)
-            if nf.is_zero():
-                if self.keep_syzygies:
-                    syz = dict(parts)
-                    for idx, mult in combo.items():
-                        syz[idx] = syz.get(idx, self.ring.zero()) - mult
-                    self.pair_syzygies.append(syz)
-            else:
+            if not nf.is_zero():
                 n = len(self.gens)
                 expr = [self.ring.zero()] * n
                 for idx, mult in parts.items():
@@ -365,12 +368,11 @@ def _normal_form_vs(ring, rank, basis_vecs, vec):
 class SubmoduleHandle:
     """A finitely generated submodule of R^rank given by generators.
 
-    Zero generators are kept: callers that extract syzygies rely on vector
-    coordinates matching generator positions (a zero generator contributes
-    the trivial syzygy on its own coordinate).
+    Zero generators are kept, so membership witnesses have one coordinate
+    per generator.
     """
 
-    __slots__ = ("ring", "rank", "generators", "_reduced", "_engine")
+    __slots__ = ("ring", "rank", "generators", "_reduced")
 
     def __init__(self, ring: RingDescriptor, rank: int, generators):
         gens = []
@@ -384,14 +386,6 @@ class SubmoduleHandle:
         self.rank = rank
         self.generators = tuple(gens)
         self._reduced = None
-        self._engine = None
-
-    # internal --------------------------------------------------------------
-    def _completed(self, keep_syzygies=False) -> _Engine:
-        if self._engine is None or (keep_syzygies and not self._engine.keep_syzygies):
-            self._engine = _Engine(self.ring, self.rank, self.generators,
-                                   keep_syzygies=keep_syzygies)
-        return self._engine
 
     # queries ---------------------------------------------------------------
     def reduced_groebner(self):
@@ -400,8 +394,8 @@ class SubmoduleHandle:
             if not self.generators:
                 self._reduced = ()
             else:
-                eng = self._completed()
-                reduced = eng.reduced_basis()
+                reduced = _Engine(self.ring, self.rank,
+                                  self.generators).reduced_basis()
                 for vec, expr in reduced:
                     check = FreeVector.zero(self.ring, self.rank)
                     for coeff, gen in zip(expr, self.generators):
@@ -466,95 +460,57 @@ def membership(v: FreeVector, S: SubmoduleHandle):
     return S.contains(v)
 
 
-def syzygies(S: SubmoduleHandle) -> SubmoduleHandle:
-    """Relations among the generators of S, as a submodule of R^len(gens).
+def preimage(tracked, S: SubmoduleHandle) -> SubmoduleHandle:
+    """{c in R^k : sum(c[i] * tracked[i]) in S}, generated by its reduced basis.
 
-    Every returned generator is verified to annihilate the generator matrix.
+    One Groebner basis of <(t_i, e_i), (s_j, 0)> in R^(rank + k).  The
+    tracking coordinates come last, the lowest positions under
+    position-over-term, so the reduced basis elements with lead there have a
+    zero first part and their tracking parts are the reduced basis of the
+    preimage (Greuel-Pfister, A Singular Introduction to Commutative
+    Algebra, 2.8).  Every returned c is re-checked by membership in S.
     """
-    n = len(S.generators)
-    ring = S.ring
-    if n == 0:
-        return SubmoduleHandle(ring, 0, ())
-    eng = _Engine(ring, S.rank, S.generators, keep_syzygies=True)
-    t = len(eng.basis)
-    # A: expressions of basis elements in the generators (n x t)
-    # B: expressions of generators in the basis (t x n)
-    bcols = []
-    for g in S.generators:
-        nf, combo = eng._normal_form(g)
-        if not nf.is_zero():
-            raise InternalInvariantError("generator does not reduce to zero")
-        bcols.append(combo)
-    raw = []
-    # I - A*B columns
-    for i, g in enumerate(S.generators):
-        col = [ring.zero()] * n
-        col[i] = ring.one()
-        for idx, mult in bcols[i].items():
-            expr = eng.basis[idx].expr
-            for a in range(n):
-                col[a] = col[a] - mult * expr[a]
-        raw.append(col)
-    # A * z for each pair syzygy z
-    for syz in eng.pair_syzygies:
-        col = [ring.zero()] * n
-        for idx, mult in syz.items():
-            expr = eng.basis[idx].expr
-            for a in range(n):
-                col[a] = col[a] + mult * expr[a]
-        raw.append(col)
-    vectors = []
-    for col in raw:
-        vec = FreeVector(ring, col)
-        if vec.is_zero():
-            continue
-        check = FreeVector.zero(ring, S.rank)
-        for coeff, gen in zip(col, S.generators):
-            check = check + gen.scale(coeff)
-        if not check.is_zero():
-            raise InternalInvariantError("syzygy does not annihilate generators")
-        vectors.append(vec)
-    pre = SubmoduleHandle(ring, n, vectors)
-    return SubmoduleHandle(ring, n, pre.groebner_vectors())
+    ring, rank = S.ring, S.rank
+    tracked = tuple(tracked)
+    for t in tracked:
+        if t.ring != ring or t.rank != rank:
+            raise UsageError("vector rank or ring mismatch")
+    k = len(tracked)
+    tail = (ring.zero(),) * k
+    augmented = [FreeVector(ring, t.comps + FreeVector.basis(ring, k, i).comps)
+                 for i, t in enumerate(tracked)]
+    augmented += [FreeVector(ring, s.comps + tail) for s in S.generators]
+    basis = SubmoduleHandle(ring, rank + k, augmented).groebner_vectors()
+    vectors = [FreeVector(ring, w.comps[rank:]) for w in basis
+               if w.lead()[0] >= rank]
+    for c in vectors:
+        image = FreeVector.zero(ring, rank)
+        for coeff, t in zip(c.comps, tracked):
+            image = image + t.scale(coeff)
+        if not S.contains(image)[0]:
+            raise InternalInvariantError("preimage element maps outside S")
+    return SubmoduleHandle(ring, k, vectors)
+
+
+def syzygies(S: SubmoduleHandle) -> SubmoduleHandle:
+    """Relations among the generators of S, as a submodule of R^len(gens)."""
+    return preimage(S.generators, SubmoduleHandle(S.ring, S.rank, ()))
 
 
 def colon(S: SubmoduleHandle, v: FreeVector) -> IdealHandle:
-    """The ideal {r in R : r*v in S}, via syzygies of [v | generators of S]."""
-    if v.ring != S.ring or v.rank != S.rank:
-        raise UsageError("vector rank or ring mismatch")
-    ring = S.ring
-    if v.is_zero():
-        return IdealHandle(ring, [ring.one()])
-    combined = SubmoduleHandle(ring, S.rank, (v,) + S.generators)
-    syz = syzygies(combined)
-    gens = [w.comps[0] for w in syz.generators if not w.comps[0].is_zero()]
-    ideal = IdealHandle(ring, gens)
-    for r in ideal.generators:
-        if r.is_zero():
-            continue
-        ok, _ = S.contains(v.scale(r))
-        if not ok:
-            raise InternalInvariantError("colon generator fails membership")
-    return ideal
+    """The ideal {r in R : r*v in S}, the preimage of S under r -> r*v."""
+    return IdealHandle(S.ring, [c.comps[0] for c in preimage([v], S).generators])
 
 
 def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """I cap J via syzygies of [(1,1)] + [(a,0)] + [(0,b)] in R^2."""
+    """I cap J as the colon (I x J : (1, 1)) in R^2."""
     if I.ring != J.ring:
         raise UsageError("ideals over different rings")
     ring = I.ring
-    zero = ring.zero()
-    gens = [FreeVector(ring, (ring.one(), ring.one()))]
-    gens += [FreeVector(ring, (a, zero)) for a in I.generators if not a.is_zero()]
-    gens += [FreeVector(ring, (zero, b)) for b in J.generators if not b.is_zero()]
-    syz = syzygies(SubmoduleHandle(ring, 2, gens))
-    out = [w.comps[0] for w in syz.generators if not w.comps[0].is_zero()]
-    # negate: r*(1,1) + ... = 0 means -r in both ideals; sign is irrelevant
-    ideal = IdealHandle(ring, [(-r).canonical_associate()[1] for r in out])
-    for r in ideal.generators:
-        if not r.is_zero() and not (I.contains(r) and J.contains(r)):
-            raise InternalInvariantError("intersection generator outside inputs")
-    return ideal
+    zero, one = ring.zero(), ring.one()
+    product = [FreeVector(ring, (a, zero)) for a in I.generators]
+    product += [FreeVector(ring, (zero, b)) for b in J.generators]
+    return colon(SubmoduleHandle(ring, 2, product), FreeVector(ring, (one, one)))
 
 
 # ---------------------------------------------------------------------------

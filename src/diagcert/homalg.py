@@ -21,7 +21,7 @@ from .bounds import Bounds, applies_bounds
 from .errors import (DegenerateInputError, FullRankRequiredError,
                      InternalInvariantError, UsageError)
 from .groebner import (FreeVector, SubmoduleHandle, colon, ideal_intersection,
-                       syzygies)
+                       preimage, syzygies)
 from .linalg import (EquivalenceCertificate, RingMatrix, determinant,
                      fitting_ideal, inverse_unimodular, smith_normal_form)
 from .rings import IdealHandle, RingDescriptor, RingElement
@@ -122,15 +122,7 @@ def submodule_presentation(M: FPModule, generators) -> FPModule:
             raise UsageError("submodule generator outside the ambient module")
     if not gens:
         return FPModule.zero(M.ring)
-    combined = SubmoduleHandle(M.ring, M.gens, tuple(gens) + M.relations)
-    syz = syzygies(combined)
-    s = len(gens)
-    rels = []
-    for w in syz.generators:
-        head = w.comps[:s]
-        if any(not c.is_zero() for c in head):
-            rels.append(FreeVector(M.ring, head))
-    return FPModule(M.ring, s, rels)
+    return FPModule(M.ring, len(gens), preimage(gens, M.handle()).generators)
 
 
 def quotient_presentation(M: FPModule, generators) -> FPModule:
@@ -424,8 +416,9 @@ def _flat_index(target_gens, p, q):
 def hom_module(M: FPModule, N: FPModule, bounds: Bounds = None) -> list:
     """A finite generating set of Hom(M, N), reduced modulo homotopies.
 
-    Solves Phi . rel_M = rel_N . C columnwise via a syzygy computation, then
-    reduces the solutions modulo maps that factor through the relations of N.
+    Solves Phi . rel_M = rel_N . C columnwise as the preimage of the
+    stacked columns of rel_N under Phi -> Phi . rel_M, then reduces the
+    solutions modulo maps that factor through the relations of N.
     Every returned hom passes the well-definedness check.
     """
     ring = M.ring
@@ -435,32 +428,28 @@ def hom_module(M: FPModule, N: FPModule, bounds: Bounds = None) -> list:
     if g == 0 or h == 0 or N.is_zero():
         return []
     r = len(M.relations)
-    s = len(N.relations)
 
     if r == 0:
         raw = [FreeVector.basis(ring, h * g, _flat_index(h, p, q))
                for p in range(h) for q in range(g)]
     else:
         stacked_rank = h * r
-        columns = []
+        unknowns = []
         for q in range(g):
             for p in range(h):
                 comps = [ring.zero()] * stacked_rank
                 for j, rel in enumerate(M.relations):
                     comps[j * h + p] = rel.comps[q]
-                columns.append(FreeVector(ring, comps))
+                unknowns.append(FreeVector(ring, comps))
+        targets = []
         for j in range(r):
-            for k, brel in enumerate(N.relations):
+            for brel in N.relations:
                 comps = [ring.zero()] * stacked_rank
                 for p in range(h):
-                    comps[j * h + p] = -brel.comps[p]
-                columns.append(FreeVector(ring, comps))
-        syz = syzygies(SubmoduleHandle(ring, stacked_rank, columns))
-        raw = []
-        for w in syz.generators:
-            head = w.comps[:h * g]
-            if any(not c.is_zero() for c in head):
-                raw.append(FreeVector(ring, head))
+                    comps[j * h + p] = brel.comps[p]
+                targets.append(FreeVector(ring, comps))
+        raw = preimage(unknowns,
+                       SubmoduleHandle(ring, stacked_rank, targets)).generators
 
     # reduce modulo homotopies: matrices whose columns lie in rel_N
     homotopy = []
@@ -597,18 +586,10 @@ def _monomials_of_degree(nvars, total):
 
 def _certify_injective(phi: ModuleHom):
     """Kernel of the induced map lands inside the source relations."""
-    ring = phi.source.ring
-    g = phi.source.gens
-    columns = [phi.column(q) for q in range(g)] + list(phi.target.relations)
-    syz = syzygies(SubmoduleHandle(ring, phi.target.gens, columns))
+    columns = [phi.column(q) for q in range(phi.source.gens)]
     src_handle = phi.source.handle()
-    for w in syz.generators:
-        head = FreeVector(ring, w.comps[:g])
-        if head.is_zero():
-            continue
-        if not src_handle.contains(head)[0]:
-            return False
-    return True
+    return all(src_handle.contains(c)[0]
+               for c in preimage(columns, phi.target.handle()).generators)
 
 
 def _certify_surjective(phi: ModuleHom):

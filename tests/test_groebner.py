@@ -1,9 +1,11 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from diagcert.groebner import (FreeVector, SubmoduleHandle, colon,
                                groebner_basis, ideal_intersection, membership,
-                               syzygies)
-from diagcert.rings import IdealHandle
+                               preimage, syzygies)
+from diagcert.rings import IdealHandle, RingDescriptor, ZZ
 
 
 def vec(ring, *texts):
@@ -194,3 +196,84 @@ def test_zx_membership_implies_qx_membership(zx, qx):
             if ideal_z.contains(f):
                 assert ideal_q.contains(qx.parse(str(f)) if not f.is_zero()
                                         else qx.zero())
+
+
+# -- preimage: property tests ------------------------------------------------
+
+PROPERTY_RINGS = (
+    ZZ,
+    RingDescriptor.polynomial("integers", ["x"], "lex"),
+    RingDescriptor.polynomial("rationals", ["x", "y"], "grevlex"),
+    RingDescriptor.polynomial(5, ["x", "y"], "grevlex"),
+)
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def elements(draw, ring):
+    """c_0 + c_1*x_1 + ... with |c_i| <= 3: entries of degree at most 1."""
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=ring.nvars + 1,
+                           max_size=ring.nvars + 1))
+    e = ring.from_int(coeffs[0])
+    for i, c in enumerate(coeffs[1:]):
+        exp = tuple(int(k == i) for k in range(ring.nvars))
+        e = e + ring.monomial(exp, ring.coeffs.from_int(c))
+    return e
+
+
+@st.composite
+def preimage_problems(draw):
+    """(ring, tracked vectors, S) with rank <= 2 and at most 3 of each."""
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    rank = draw(st.integers(1, 2))
+    vectors = st.lists(elements(ring), min_size=rank, max_size=rank).map(
+        lambda comps: FreeVector(ring, comps))
+    tracked = draw(st.lists(vectors, min_size=1, max_size=3))
+    gens = draw(st.lists(vectors, min_size=0, max_size=3))
+    return ring, tracked, SubmoduleHandle(ring, rank, gens)
+
+
+def _image(ring, coeffs, tracked):
+    total = FreeVector.zero(ring, tracked[0].rank)
+    for c, t in zip(coeffs, tracked):
+        total = total + t.scale(c)
+    return total
+
+
+@PROPERTY_SETTINGS
+@given(preimage_problems())
+def test_preimage_is_sound(problem):
+    ring, tracked, S = problem
+    pre = preimage(tracked, S)
+    assert pre.rank == len(tracked)
+    for c in pre.generators:
+        assert not c.is_zero()
+        assert S.contains(_image(ring, c.comps, tracked))[0]
+
+
+@PROPERTY_SETTINGS
+@given(preimage_problems(), st.data())
+def test_preimage_is_complete(problem, data):
+    ring, tracked, S = problem
+    c0 = [data.draw(elements(ring)) for _ in tracked]
+    bigger = SubmoduleHandle(ring, S.rank,
+                             S.generators + (_image(ring, c0, tracked),))
+    assert preimage(tracked, bigger).contains(FreeVector(ring, c0))[0]
+
+
+@PROPERTY_SETTINGS
+@given(preimage_problems())
+def test_colon_and_intersection_match_their_definitions(problem):
+    ring, tracked, S = problem
+    v = tracked[0]
+    candidates = [c for w in tracked + list(S.generators) for c in w.comps]
+    candidates += [a * b for a in candidates[:3] for b in candidates[:3]]
+    ideal = colon(S, v)
+    for r in list(ideal.generators) + candidates:
+        assert ideal.contains(r) == S.contains(v.scale(r))[0]
+    I = IdealHandle(ring, v.comps)
+    J = IdealHandle(ring, [c for g in S.generators for c in g.comps])
+    both = ideal_intersection(I, J)
+    for r in list(both.generators) + candidates:
+        assert both.contains(r) == (I.contains(r) and J.contains(r))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from diagcert.bounds import Bounds
@@ -10,6 +12,7 @@ from diagcert.homalg import (FPModule, annihilator, element_annihilator, ext,
                              split_test, submodule_presentation,
                              transpose_equivalence_from_diagonal)
 from diagcert.linalg import RingMatrix, smith_normal_form
+from diagcert.rings import RingDescriptor
 
 
 def vec(ring, *texts):
@@ -349,3 +352,25 @@ def test_submodule_presentation_of_e1(qxy):
     M = jordan_module(qxy)
     sub = submodule_presentation(M, [vec(qxy, "1", "0")])
     assert ideal_strs(annihilator(sub)) == ["x"]
+
+
+def test_submodule_presentation_over_zxy_finishes():
+    # The whole syzygy module of generators and relations is expensive here;
+    # the presentation needs only its projection onto the generators.
+    zxy = RingDescriptor.polynomial("integers", ["x", "y"], "grevlex")
+    M = FPModule(zxy, 2, [vec(zxy, "-3*x*y", "0"),
+                          vec(zxy, "-x*y - 1", "-2*x*y + 3*x"),
+                          vec(zxy, "3*x", "0")])
+    gens = [vec(zxy, "-2*x*y^2 - 1", "2*x^2 - 2*x"),
+            vec(zxy, "-3*x*y^2", "-2*x^2*y + x*y")]
+    sub = submodule_presentation(M, gens)
+    for rel in sub.relations:
+        image = gens[0].scale(rel.comps[0]) + gens[1].scale(rel.comps[1])
+        assert M.handle().contains(image)[0]
+    assert json.dumps(sub.to_json()["relations"]) == (
+        '[["0", "6*x*y - 9*x"], '
+        '["9*x - 3*y", "6*x + 6*y - 15"], '
+        '["6*y^2 - 9*y", "-12*y^2 + 48*y - 45"], '
+        '["3*x*y + 3*y^2 - 6*y", "-6*y^2 + 3*x + 27*y - 30"], '
+        '["x^2*y^2 + 3*y^4 + x*y^2 + 3*y^3 + x*y + 3*y^2 - 23*y", '
+        '"2*x*y^3 - 6*y^4 + x^2*y + 9*y^3 + 2*x*y + 9*y^2 - 8*x + 61*y - 115"]]')

@@ -1,16 +1,27 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene checks over the package.
 
-The package re-exports its API from __init__.py, so that module is skipped.
-Names used only inside string annotations count as used.
+No module imports a name it never uses.  The package re-exports its API from
+__init__.py, so that module is skipped.  Names used only inside string
+annotations count as used.
+
+No function or method is dead: each one (dunders aside) is referenced
+somewhere other than its own body, in the package, the tests or the
+benchmark.  A name, an attribute, an imported name or a string that is
+exactly the identifier all count as a reference; the check goes by name, so
+it cannot tell apart two methods that share one.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diagcert"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "diagcert"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCANNED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def _imported_names(tree):
@@ -45,3 +56,40 @@ def test_no_unused_imports(path):
     used = _used_names(tree)
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _references(tree):
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[(node.asname or node.name).split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            refs[node.value] += 1
+    return refs
+
+
+def _definitions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not \
+                (node.name.startswith("__") and node.name.endswith("__")):
+            yield node
+
+
+def test_no_dead_definitions():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SCANNED}
+    total = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _definitions(trees[path]):
+            own = _references(ast.Module(body=node.body, type_ignores=[]))
+            if total[node.name] - own[node.name] <= 0:
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, f"functions referenced nowhere else: {dead}"
