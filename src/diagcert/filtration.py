@@ -4,6 +4,8 @@ search, and the constructor that peels a diagonal decomposition.
 Reading pinned here (and echoed in every report):
   * the lattice is sampled as exactly the element annihilators Ann(x) for x
     over a bounded, canonically ordered coefficient pool;
+  * each class of a quotient, up to a unit, is annihilated once; the search's
+    first stage reuses the classes its sample was built from;
   * a filtration step is admissible when its cyclic quotient annihilator
     equals a sampled lattice ideal of the ambient module;
   * minimality is stagewise: a step is minimal when no sampled candidate at
@@ -73,7 +75,6 @@ class AnnihilatorSample:
     module: FPModule
     entries: tuple
     bounds: Bounds
-    policy: str = "pool"      # "pool": canonical enumeration; "basis": e_i only
 
     def ideals(self):
         """Distinct sampled annihilators, canonical order."""
@@ -91,32 +92,54 @@ class AnnihilatorSample:
                 "entries": [e.to_json() for e in self.entries]}
 
 
+def _normalize_candidate(ring, vec: FreeVector) -> FreeVector:
+    for c in vec.comps:
+        if not c.is_zero():
+            unit = ring.from_coeff(ring.coeffs.canonical_unit(c.leading_coeff()))
+            return vec.scale(unit.invert_unit())
+    return vec
+
+
+def _class_annihilators(Q: FPModule, vectors):
+    """(v, class, Ann) for the first v of each nonzero class of Q, in order;
+    a class is a normal form up to a unit, and Ann depends on nothing else."""
+    handle = Q.handle()
+    seen = set()
+    out = []
+    for v in vectors:
+        nf = handle.normal_form(v)
+        if nf.is_zero():
+            continue
+        nf = _normalize_candidate(Q.ring, nf)
+        if nf not in seen:
+            seen.add(nf)
+            out.append((v, nf, element_annihilator(Q, nf)))
+    return out
+
+
+def _lattice(M: FPModule, classes, bounds: Bounds) -> AnnihilatorSample:
+    """The unit entry, then the first entry of each new ideal."""
+    entries = []
+    if M.gens:
+        entries.append(SampleEntry(FreeVector.zero(M.ring, M.gens),
+                                   IdealHandle(M.ring, [M.ring.one()]),
+                                   True, M.ring.one()))
+    for v, _, ideal in classes:
+        if all(ideal != e.ideal for e in entries):
+            gen = ideal.principal_generator()
+            entries.append(SampleEntry(v, ideal, gen is not None, gen))
+    return AnnihilatorSample(M, tuple(entries), bounds)
+
+
 @applies_bounds
 def sample_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSample:
     """Annihilators of pooled elements, deduplicated per ideal.
 
-    Every recorded annihilator is re-certified by element_annihilator; the
-    enumeration is canonical, so the sample is reproducible.
+    The enumeration is canonical, so the sample is reproducible.
     """
     bounds = bounds or Bounds()
-    entries = []
-    seen_ideals = []
-    handle = M.handle()
-    if M.gens:
-        unit = IdealHandle(M.ring, [M.ring.one()])
-        seen_ideals.append(unit)
-        entries.append(SampleEntry(FreeVector.zero(M.ring, M.gens), unit,
-                                   True, M.ring.one()))
-    for v in enumerate_elements(M.ring, M.gens, bounds):
-        nf = handle.normal_form(v) if M.relations else v
-        if nf.is_zero():
-            continue  # the zero class is already recorded with the unit ideal
-        ideal = element_annihilator(M, v)
-        if all(ideal != s for s in seen_ideals):
-            seen_ideals.append(ideal)
-            gen = ideal.principal_generator()
-            entries.append(SampleEntry(v, ideal, gen is not None, gen))
-    return AnnihilatorSample(M, tuple(entries), bounds)
+    pool = enumerate_elements(M.ring, M.gens, bounds)
+    return _lattice(M, _class_annihilators(M, pool), bounds)
 
 
 @applies_bounds
@@ -127,18 +150,8 @@ def sample_basis_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSampl
     basis-vector annihilators by construction.
     """
     bounds = bounds or Bounds()
-    entries = [SampleEntry(FreeVector.zero(M.ring, M.gens),
-                           IdealHandle(M.ring, [M.ring.one()]),
-                           True, M.ring.one())] if M.gens else []
-    seen = [entries[0].ideal] if entries else []
-    for i in range(M.gens):
-        v = M.basis_vector(i)
-        ideal = element_annihilator(M, v)
-        if all(ideal != s for s in seen):
-            seen.append(ideal)
-            gen = ideal.principal_generator()
-            entries.append(SampleEntry(v, ideal, gen is not None, gen))
-    return AnnihilatorSample(M, tuple(entries), bounds, policy="basis")
+    basis = [M.basis_vector(i) for i in range(M.gens)]
+    return _lattice(M, _class_annihilators(M, basis), bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -329,33 +342,12 @@ class FiltrationSearchResult:
         return out
 
 
-def _normalize_candidate(ring, vec: FreeVector) -> FreeVector:
-    for c in vec.comps:
-        if not c.is_zero():
-            unit = ring.from_coeff(ring.coeffs.canonical_unit(c.leading_coeff()))
-            return vec.scale(unit.invert_unit())
-    return vec
-
-
-def _stage_candidates(M: FPModule, current_gens, sample, bounds):
-    """Sampled elements of the current quotient with admissible annihilators,
-    grouped as (ideal, [elements]), plus the inadmissible ones for reporting."""
-    quotient = quotient_presentation(M, current_gens)
-    handle = quotient.handle()
-    seen = set()
-    admissible = []      # list of [ideal, elements]
-    blocked = []         # (element, ideal) with annihilator outside the lattice
-    for v in enumerate_elements(M.ring, M.gens, bounds):
-        nf = handle.normal_form(v)
-        if nf.is_zero():
-            continue
-        nf = _normalize_candidate(M.ring, nf)
-        if nf in seen:
-            continue
-        seen.add(nf)
-        ideal = element_annihilator(quotient, nf)
-        if not ideal.is_proper():
-            continue
+def _stage_candidates(classes, sample):
+    """Classes of the current quotient grouped as [ideal, classes] when the
+    ideal is sampled, plus the first (class, ideal) of each unsampled ideal."""
+    admissible = []
+    blocked = []
+    for _, nf, ideal in classes:
         if sample.contains_ideal(ideal):
             for group in admissible:
                 if group[0] == ideal:
@@ -363,10 +355,9 @@ def _stage_candidates(M: FPModule, current_gens, sample, bounds):
                     break
             else:
                 admissible.append([ideal, [nf]])
-        else:
-            if all(b[1] != ideal for b in blocked):
-                blocked.append((nf, ideal))
-    return quotient, admissible, blocked
+        elif all(b[1] != ideal for b in blocked):
+            blocked.append((nf, ideal))
+    return admissible, blocked
 
 
 @applies_bounds
@@ -377,7 +368,9 @@ def search_minimal_cyclic_filtration(M: FPModule,
     recorded: non-minimal candidates and dead-ended chains both appear in the
     result for inspection."""
     bounds = bounds or Bounds()
-    sample = sample_lattice(M, bounds)
+    pool = enumerate_elements(M.ring, M.gens, bounds)
+    classes = _class_annihilators(M, pool)
+    sample = _lattice(M, classes, bounds)
     rejected = []
     state = {"depth_limited": False}
 
@@ -385,13 +378,15 @@ def search_minimal_cyclic_filtration(M: FPModule,
         return tuple(str(s.quotient_ideal) for s in stages)
 
     def recurse(current_gens, stages):
-        quotient, admissible, blocked = _stage_candidates(
-            M, current_gens, sample, bounds)
+        quotient = quotient_presentation(M, current_gens) if current_gens else M
         if quotient.is_zero():
             return CyclicFiltration(M, tuple(stages))
         if len(stages) >= SEARCH_DEPTH_LIMIT:
             state["depth_limited"] = True
             return None
+        admissible, blocked = _stage_candidates(
+            _class_annihilators(quotient, pool) if current_gens else classes,
+            sample)
         stage_no = len(stages) + 1
         if not admissible:
             rejected.append(RejectedCandidate(

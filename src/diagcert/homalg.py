@@ -526,7 +526,6 @@ class IsoResult:
     inverse: ModuleHom = None
     obstruction: Obstruction = None
     bounds: Bounds = None
-    candidates_tried: int = 0
 
     def to_json(self):
         out = {"verdict": self.verdict}
@@ -704,8 +703,8 @@ def is_isomorphic(M: FPModule, N: FPModule, bounds: Bounds = None) -> IsoResult:
         result = _try_iso(phi)
         if result is not None:
             phi, psi = result
-            return IsoResult("yes", phi, psi, candidates_tried=tried)
-    return IsoResult("unknown", bounds=bounds, candidates_tried=tried)
+            return IsoResult("yes", phi, psi)
+    return IsoResult("unknown", bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -425,8 +425,11 @@ class EquivalenceCertificate:
     transcript: tuple = ()
 
     def verify(self):
-        return verifier.check_equivalence(self.left, self.source,
-                                          self.right, self.target)
+        """Checked once and kept on the instance: the fields are immutable."""
+        if "_check" not in self.__dict__:
+            object.__setattr__(self, "_check", verifier.check_equivalence(
+                self.left, self.source, self.right, self.target))
+        return self._check
 
     def to_json(self) -> dict:
         out = {"ring": self.source.ring.to_json(),

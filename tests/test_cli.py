@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from diagcert import verifier
 from diagcert.bounds import Bounds
 from diagcert.cli import main, request_from_argv
 from diagcert.diagonalizer import analyze, diagonalize
@@ -235,3 +236,23 @@ def test_step_bound_caps_each_computation(fixtures_dir):
     m, _ = matrix_from_json(doc)
     assert diagonalize(m, Bounds(steps=5)).verdict == "no"
     assert is_quasi_gorenstein(m, Bounds(steps=5)).verdict == "yes"
+
+
+@pytest.mark.parametrize("subcommand", ["analyze", "diagonalize", "qg"])
+@pytest.mark.parametrize("name", ["jordan_block", "triangular_int"])
+def test_each_certificate_verified_once(capsys, fixtures_dir, monkeypatch,
+                                        subcommand, name):
+    checked = []
+    real_check = verifier.check_equivalence
+
+    def counting_check(left, source, right, target):
+        checked.append(tuple(m.rows for m in (left, source, right, target)))
+        return real_check(left, source, right, target)
+
+    monkeypatch.setattr(verifier, "check_equivalence", counting_check)
+    for flags in ((), ("--json",)):
+        checked.clear()
+        code, _, _ = invoke(capsys, subcommand, "--input",
+                            str(fixtures_dir / f"{name}.json"), *flags)
+        assert code == 0
+        assert len(checked) == len(set(checked))

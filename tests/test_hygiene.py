@@ -9,6 +9,11 @@ somewhere other than its own body, in the package, the tests or the
 benchmark.  A name, an attribute, an imported name or a string that is
 exactly the identifier all count as a reference; the check goes by name, so
 it cannot tell apart two methods that share one.
+
+No dataclass field is dead: each field of a dataclass in the package is read
+somewhere in the package, the tests or the benchmark.  An attribute load or
+a string that is exactly the field name counts as a read; like the check
+above it goes by name.
 """
 
 import ast
@@ -93,3 +98,40 @@ def test_no_dead_definitions():
             if total[node.name] - own[node.name] <= 0:
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, f"functions referenced nowhere else: {dead}"
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _dataclass_fields(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and \
+                any(_is_dataclass(d) for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and \
+                        isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt
+
+
+def _reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_no_dead_fields():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SCANNED}
+    reads = set()
+    for tree in trees.values():
+        reads.update(_reads(tree))
+    dead = [f"{path.name}:{stmt.lineno} {cls}.{stmt.target.id}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for cls, stmt in _dataclass_fields(trees[path])
+            if stmt.target.id not in reads]
+    assert not dead, f"dataclass fields read nowhere: {dead}"
