@@ -100,6 +100,28 @@ def _normalize_candidate(ring, vec: FreeVector) -> FreeVector:
     return vec
 
 
+def _unit_pool(M: FPModule, bounds: Bounds):
+    """The element pool; over field coefficients, without the vectors that
+    are unit multiples of an earlier one.
+
+    There the normal form is linear and the reducer choice ignores the
+    coefficient, so u*v has the class of v in every quotient and never
+    comes first.  Over Z coefficients NF(-v) may differ from -NF(v), so the
+    pool is kept whole.
+    """
+    pool = enumerate_elements(M.ring, M.gens, bounds)
+    if not M.ring.coeffs.is_field:
+        return pool
+    seen = set()
+    out = []
+    for v in pool:
+        key = _normalize_candidate(M.ring, v)
+        if key not in seen:
+            seen.add(key)
+            out.append(v)
+    return out
+
+
 def _class_annihilators(Q: FPModule, vectors):
     """(v, class, Ann) for the first v of each nonzero class of Q, in order;
     a class is a normal form up to a unit, and Ann depends on nothing else."""
@@ -138,8 +160,7 @@ def sample_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSample:
     The enumeration is canonical, so the sample is reproducible.
     """
     bounds = bounds or Bounds()
-    pool = enumerate_elements(M.ring, M.gens, bounds)
-    return _lattice(M, _class_annihilators(M, pool), bounds)
+    return _lattice(M, _class_annihilators(M, _unit_pool(M, bounds)), bounds)
 
 
 @applies_bounds
@@ -368,7 +389,7 @@ def search_minimal_cyclic_filtration(M: FPModule,
     recorded: non-minimal candidates and dead-ended chains both appear in the
     result for inspection."""
     bounds = bounds or Bounds()
-    pool = enumerate_elements(M.ring, M.gens, bounds)
+    pool = _unit_pool(M, bounds)
     classes = _class_annihilators(M, pool)
     sample = _lattice(M, classes, bounds)
     rejected = []

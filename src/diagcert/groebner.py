@@ -10,9 +10,18 @@ The module order is position-over-term: component 0 dominates, ties are
 broken by the descriptor's monomial order.  Reduced bases are canonical, so
 submodule and ideal equality are decided by comparing them.
 
+Inside the engine a vector of R^rank is one sparse term map
+{(position, exponent): coefficient} over the raw coefficient domain (int,
+Fraction or a residue mod p), with no zero coefficients.  A reduction step
+updates its work map in place and touches only the terms of the reducer,
+as in sparse polynomial division (Monagan-Pearce, CASC 2007), though the
+lead is found by a scan rather than a heap.  FreeVector is the boundary
+type: SubmoduleHandle converts generators to term maps on the way in and
+basis vectors back on the way out.
+
 Every basis element carries its expression in terms of the input generators,
 which is how membership witnesses are produced; each witness is recombined
-and compared before it is returned.
+from the input generators and compared before it is returned.
 
 Syzygies, colon ideals and subquotient presentations all come from one
 elimination basis (`preimage`): tracked vectors t_i get a unit coordinate
@@ -32,7 +41,11 @@ from .rings import IdealHandle, RingDescriptor, RingElement
 
 
 class FreeVector:
-    """An element of R^rank, stored densely (ranks here are small)."""
+    """An element of R^rank, stored densely (ranks here are small).
+
+    This is the boundary type of the module: callers pass and receive
+    FreeVectors, while the Groebner engine works on term maps.
+    """
 
     __slots__ = ("ring", "comps")
 
@@ -68,22 +81,8 @@ class FreeVector:
     def __sub__(self, other):
         return FreeVector(self.ring, (a - b for a, b in zip(self.comps, other.comps)))
 
-    def __neg__(self):
-        return FreeVector(self.ring, (-a for a in self.comps))
-
     def scale(self, element: RingElement) -> "FreeVector":
         return FreeVector(self.ring, (element * c for c in self.comps))
-
-    def mul_monomial(self, exp, coeff) -> "FreeVector":
-        return FreeVector(self.ring, (c.mul_monomial(exp, coeff) for c in self.comps))
-
-    def lead(self):
-        """(position, exponent, coefficient) of the largest module term."""
-        for i, c in enumerate(self.comps):
-            if not c.is_zero():
-                e, co = c.leading_term()
-                return i, e, co
-        raise UsageError("zero vector has no leading term")
 
     def __eq__(self, other):
         if not isinstance(other, FreeVector):
@@ -98,6 +97,56 @@ class FreeVector:
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
+
+
+# ---------------------------------------------------------------------------
+# term maps
+
+
+def _terms_of(vec: FreeVector):
+    """The term map {(pos, exp): coeff} of a FreeVector."""
+    return {(i, e): c for i, comp in enumerate(vec.comps)
+            for e, c in comp._terms.items()}
+
+
+def _vector_of(ring, rank, terms) -> FreeVector:
+    comps = [{} for _ in range(rank)]
+    for (i, e), c in terms.items():
+        comps[i][e] = c
+    return FreeVector(ring, [RingElement(ring, d) for d in comps])
+
+
+def _add_term(dom, target, key, coeff):
+    """target[key] += coeff, in place, dropping a zero sum."""
+    old = target.get(key)
+    s = coeff if old is None else dom.add(old, coeff)
+    if s == 0:
+        target.pop(key, None)
+    else:
+        target[key] = s
+
+
+def _add_scaled(dom, target, terms, exp, coeff):
+    """target += coeff * x^exp * terms, in place."""
+    shift = any(exp)
+    for (i, e), c in terms.items():
+        key = (i, tuple(a + b for a, b in zip(e, exp))) if shift else (i, e)
+        _add_term(dom, target, key, dom.mul(c, coeff))
+
+
+def _combine(dom, coeffs, gens):
+    """sum(coeffs[a] * gens[a]) for a coefficient term map over R^len(gens)."""
+    out = {}
+    for (a, e), c in coeffs.items():
+        _add_scaled(dom, out, gens[a], e, c)
+    return out
+
+
+def _lead(ring, terms):
+    """(position, exponent, coefficient) of the largest term of a nonzero map."""
+    pos = min(i for i, _ in terms)
+    exp = max((e for i, e in terms if i == pos), key=ring.monomial_key)
+    return pos, exp, terms[pos, exp]
 
 
 def _module_key(ring, rank, pos, exp):
@@ -122,17 +171,22 @@ def _exp_gcd_trivial(a, b):
 
 
 class _BasisElem:
-    __slots__ = ("vec", "expr", "lead", "index")
+    """A basis vector as a term map, its expression in the input generators
+    (a term map over R^len(gens)), its lead and its reducer sort key."""
 
-    def __init__(self, vec: FreeVector, expr, index: int):
-        self.vec = vec
-        self.expr = tuple(expr)  # combination of the input generators
-        self.lead = vec.lead()
+    __slots__ = ("terms", "expr", "lead", "key", "index")
+
+    def __init__(self, ring, terms, expr, index: int):
+        self.terms = terms
+        self.expr = expr
+        self.lead = _lead(ring, terms)
+        self.key = (ring.monomial_key(self.lead[1]),
+                    ring.coeffs.sort_key(self.lead[2]), index)
         self.index = index
 
 
 class _Engine:
-    """One Groebner computation with witness tracking.
+    """One Groebner computation with witness tracking, on term maps.
 
     Pairs wait in a heap of (key, i, j, kind) tuples, which are unique, so the
     smallest module term is always treated first and the run is deterministic.
@@ -143,18 +197,13 @@ class _Engine:
         self.rank = rank
         self.dom = ring.coeffs
         self.steps_left = current_steps()
-        self.gens = list(gens)
         self.basis: list[_BasisElem] = []
         self.pairs = []
         self.treated = set()
-        n = len(self.gens)
-        zero = ring.zero()
-        for i, g in enumerate(self.gens):
-            if g.is_zero():
-                continue
-            expr = [zero] * n
-            expr[i] = ring.one()
-            self._add_basis(g, expr)
+        one, zero_exp = self.dom.one(), (0,) * ring.nvars
+        for i, g in enumerate(gens):
+            if g:
+                self._add_basis(dict(g), {(i, zero_exp): one})
         self._run()
 
     # bookkeeping -----------------------------------------------------------
@@ -163,17 +212,19 @@ class _Engine:
         if self.steps_left < 0:
             raise StepBudgetExceeded("groebner step budget exhausted")
 
-    def _canonicalize(self, vec: FreeVector, expr):
-        pos, exp, coeff = vec.lead()
-        u = self.dom.canonical_unit(coeff)
+    def _canonicalize(self, terms, expr):
+        """Scale terms and expr in place so the lead coefficient is canonical."""
+        u = self.dom.canonical_unit(_lead(self.ring, terms)[2])
         if u == self.dom.one():
-            return vec, expr
-        inv = self.ring.from_coeff(self.dom.invert_unit(u))
-        return vec.scale(inv), [inv * e for e in expr]
+            return
+        inv = self.dom.invert_unit(u)
+        for m in (terms, expr):
+            for k, c in m.items():
+                m[k] = self.dom.mul(inv, c)
 
-    def _add_basis(self, vec: FreeVector, expr):
-        vec, expr = self._canonicalize(vec, expr)
-        elem = _BasisElem(vec, expr, len(self.basis))
+    def _add_basis(self, terms, expr):
+        self._canonicalize(terms, expr)
+        elem = _BasisElem(self.ring, terms, expr, len(self.basis))
         t = elem.index
         self.basis.append(elem)
         for other in self.basis[:-1]:
@@ -209,42 +260,46 @@ class _Engine:
             bpos, bexp, bcoeff = elem.lead
             if bpos != pos or not _exp_divides(bexp, exp):
                 continue
-            q, _ = self.dom.divmod_canonical(coeff, bcoeff)
-            if q == 0:
+            if best is not None and elem.key >= best[0]:
                 continue
-            key = (self.ring.monomial_key(bexp), self.dom.sort_key(bcoeff),
-                   elem.index)
-            if best is None or key < best[0]:
-                best = (key, elem, q)
+            q, _ = self.dom.divmod_canonical(coeff, bcoeff)
+            if q != 0:
+                best = (elem.key, elem, q)
         if best is None:
             return None
         return best[1], best[2]
 
-    def _normal_form(self, vec: FreeVector):
-        """(nf, combo) with vec = nf + sum(combo[idx] * basis[idx].vec)."""
+    def _normal_form(self, terms):
+        """(nf, combo) with terms = nf + sum(combo[idx] * basis[idx].terms);
+        nf is a term map and each combo[idx] a polynomial map {exp: coeff}."""
+        dom = self.dom
         combo = {}
-        remainder = FreeVector.zero(self.ring, self.rank)
-        work = vec
-        while not work.is_zero():
+        remainder = {}
+        work = dict(terms)
+        while work:
             self._tick()
-            pos, exp, coeff = work.lead()
+            pos, exp, coeff = _lead(self.ring, work)
             red = self._find_reducer(pos, exp, coeff)
             if red is None:
-                move = [self.ring.zero()] * self.rank
-                move[pos] = self.ring.monomial(exp, coeff)
-                mv = FreeVector(self.ring, move)
-                remainder = remainder + mv
-                work = work - mv
+                remainder[pos, exp] = work.pop((pos, exp))
             else:
                 elem, q = red
                 delta = _exp_sub(exp, elem.lead[1])
-                work = work - elem.vec.mul_monomial(delta, q)
-                mult = self.ring.monomial(delta, q)
-                combo[elem.index] = combo.get(elem.index, self.ring.zero()) + mult
+                _add_scaled(dom, work, elem.terms, delta, dom.neg(q))
+                _add_term(dom, combo.setdefault(elem.index, {}), delta, q)
         return remainder, combo
+
+    def _subtract_combo(self, expr, combo):
+        """expr -= sum(combo[idx] * basis[idx].expr), in place."""
+        dom = self.dom
+        for idx, mult in combo.items():
+            for e, c in mult.items():
+                _add_scaled(dom, expr, self.basis[idx].expr, e, dom.neg(c))
 
     # main loop -------------------------------------------------------------
     def _pair_vector(self, i, j, kind):
+        """The S- or gcd-vector of basis i and j, and its parts: the
+        (basis element, exponent, coefficient) terms it is made of."""
         bi, bj = self.basis[i], self.basis[j]
         pos, ei, ci = bi.lead
         _, ej, cj = bj.lead
@@ -257,16 +312,13 @@ class _Engine:
                 g, _, _ = self.dom.gcd_ext(ci, cj)
                 mi = self.dom.exact_div(cj, g)
                 mj = self.dom.exact_div(ci, g)
-            ti = (_exp_sub(lcm_exp, ei), mi)
-            tj = (_exp_sub(lcm_exp, ej), mj)
-            vec = bi.vec.mul_monomial(*ti) - bj.vec.mul_monomial(*tj)
-            parts = {i: self.ring.monomial(*ti), j: -self.ring.monomial(*tj)}
+            mj = self.dom.neg(mj)
         else:
-            g, s, t = self.dom.gcd_ext(ci, cj)
-            ti = (_exp_sub(lcm_exp, ei), s)
-            tj = (_exp_sub(lcm_exp, ej), t)
-            vec = bi.vec.mul_monomial(*ti) + bj.vec.mul_monomial(*tj)
-            parts = {i: self.ring.monomial(*ti), j: self.ring.monomial(*tj)}
+            _, mi, mj = self.dom.gcd_ext(ci, cj)
+        parts = ((bi, _exp_sub(lcm_exp, ei), mi), (bj, _exp_sub(lcm_exp, ej), mj))
+        vec = {}
+        for b, t, m in parts:
+            _add_scaled(self.dom, vec, b.terms, t, m)
         return vec, parts
 
     def _chain_criterion(self, key, i, j):
@@ -294,22 +346,16 @@ class _Engine:
                 continue
             vec, parts = self._pair_vector(i, j, kind)
             nf, combo = self._normal_form(vec)
-            if not nf.is_zero():
-                n = len(self.gens)
-                expr = [self.ring.zero()] * n
-                for idx, mult in parts.items():
-                    b = self.basis[idx]
-                    for a in range(n):
-                        expr[a] = expr[a] + mult * b.expr[a]
-                for idx, mult in combo.items():
-                    b = self.basis[idx]
-                    for a in range(n):
-                        expr[a] = expr[a] - mult * b.expr[a]
+            if nf:
+                expr = {}
+                for b, t, m in parts:
+                    _add_scaled(self.dom, expr, b.expr, t, m)
+                self._subtract_combo(expr, combo)
                 self._add_basis(nf, expr)
 
     # outputs ---------------------------------------------------------------
     def reduced_basis(self):
-        """Canonical reduced (strong) basis as (vec, expr) pairs."""
+        """Canonical reduced (strong) basis as (terms, expr) term maps."""
         order = sorted(self.basis,
                        key=lambda e: (_module_key(self.ring, self.rank,
                                                   e.lead[0], e.lead[1]),
@@ -332,33 +378,39 @@ class _Engine:
         results = []
         for elem in kept:
             pos, exp, coeff = elem.lead
-            lead_comps = [self.ring.zero()] * self.rank
-            lead_comps[pos] = self.ring.monomial(exp, coeff)
-            lead_vec = FreeVector(self.ring, lead_comps)
-            tail = elem.vec - lead_vec
+            tail = dict(elem.terms)
+            del tail[pos, exp]
             sub.basis = [k for k in kept if k is not elem]
-            nf_tail, combo = sub._normal_form(tail)
-            expr = list(elem.expr)
-            for idx_pos, other in enumerate(sub.basis):
-                mult = combo.get(other.index)
-                if mult is None:
-                    continue
-                for a in range(len(expr)):
-                    expr[a] = expr[a] - mult * other.expr[a]
-            results.append((lead_vec + nf_tail, tuple(expr)))
+            vec, combo = sub._normal_form(tail)
+            vec[pos, exp] = coeff     # every tail term is smaller
+            expr = dict(elem.expr)
+            self._subtract_combo(expr, combo)
+            results.append((vec, expr))
         self.steps_left = sub.steps_left
         results.sort(key=lambda r: _module_key(self.ring, self.rank,
-                                               *r[0].lead()[:2]))
+                                               *_lead(self.ring, r[0])[:2]))
         return results
 
 
-def _normal_form_vs(ring, rank, basis_vecs, vec):
-    """Normal form of vec against fixed vectors; (nf, combo list by index)."""
+def _normal_form_vs(ring, rank, basis, terms):
+    """Normal form of a term map against a fixed list of _BasisElem."""
     eng = _Engine.__new__(_Engine)
     eng.ring, eng.rank, eng.dom = ring, rank, ring.coeffs
     eng.steps_left = current_steps()
-    eng.basis = [_BasisElem(v, (), i) for i, v in enumerate(basis_vecs)]
-    return eng._normal_form(vec)
+    eng.basis = basis
+    return eng._normal_form(terms)
+
+
+def _reduced_terms(ring, rank, gens):
+    """The engine's reduced basis of term maps `gens`, as _BasisElem; every
+    expression is recombined from the generators and compared."""
+    dom = ring.coeffs
+    out = []
+    for terms, expr in _Engine(ring, rank, gens).reduced_basis():
+        if _combine(dom, expr, gens) != terms:
+            raise InternalInvariantError("groebner witness does not recombine")
+        out.append(_BasisElem(ring, terms, expr, len(out)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +421,12 @@ class SubmoduleHandle:
     """A finitely generated submodule of R^rank given by generators.
 
     Zero generators are kept, so membership witnesses have one coordinate
-    per generator.
+    per generator.  The reduced basis is computed once and kept twice: as
+    term maps for the engine, and as FreeVectors for callers.
     """
 
-    __slots__ = ("ring", "rank", "generators", "_reduced")
+    __slots__ = ("ring", "rank", "generators", "_gen_terms", "_basis",
+                 "_reduced")
 
     def __init__(self, ring: RingDescriptor, rank: int, generators):
         gens = []
@@ -385,25 +439,30 @@ class SubmoduleHandle:
         self.ring = ring
         self.rank = rank
         self.generators = tuple(gens)
+        self._gen_terms = tuple(_terms_of(g) for g in gens)
+        self._basis = None
         self._reduced = None
+
+    def _check_vector(self, v):
+        if not isinstance(v, FreeVector) or v.ring != self.ring \
+                or v.rank != self.rank:
+            raise UsageError("vector rank or ring mismatch")
+
+    def _engine_basis(self):
+        """The reduced basis as _BasisElem term maps, cached."""
+        if self._basis is None:
+            self._basis = _reduced_terms(self.ring, self.rank, self._gen_terms)
+        return self._basis
 
     # queries ---------------------------------------------------------------
     def reduced_groebner(self):
         """[(vector, expression-in-generators)] of the reduced basis, cached."""
         if self._reduced is None:
-            if not self.generators:
-                self._reduced = ()
-            else:
-                reduced = _Engine(self.ring, self.rank,
-                                  self.generators).reduced_basis()
-                for vec, expr in reduced:
-                    check = FreeVector.zero(self.ring, self.rank)
-                    for coeff, gen in zip(expr, self.generators):
-                        check = check + gen.scale(coeff)
-                    if check != vec:
-                        raise InternalInvariantError(
-                            "groebner witness does not recombine")
-                self._reduced = tuple(reduced)
+            n = len(self.generators)
+            self._reduced = tuple(
+                (_vector_of(self.ring, self.rank, b.terms),
+                 _vector_of(self.ring, n, b.expr).comps)
+                for b in self._engine_basis())
         return self._reduced
 
     def groebner_vectors(self):
@@ -411,35 +470,33 @@ class SubmoduleHandle:
 
     def contains(self, v: FreeVector):
         """(True, witness) with v = sum(witness[i] * generators[i]), or (False, None)."""
-        if v.ring != self.ring or v.rank != self.rank:
-            raise UsageError("vector rank or ring mismatch")
-        if v.is_zero():
-            return True, tuple(self.ring.zero() for _ in self.generators)
+        self._check_vector(v)
+        n = len(self.generators)
+        terms = _terms_of(v)
+        if not terms:
+            return True, tuple(self.ring.zero() for _ in range(n))
         if not self.generators:
             return False, None
-        reduced = self.reduced_groebner()
-        nf, combo = _normal_form_vs(self.ring, self.rank,
-                                    [vec for vec, _ in reduced], v)
-        if not nf.is_zero():
+        basis = self._engine_basis()
+        nf, combo = _normal_form_vs(self.ring, self.rank, basis, terms)
+        if nf:
             return False, None
-        witness = [self.ring.zero()] * len(self.generators)
+        dom = self.ring.coeffs
+        witness = {}
         for idx, mult in combo.items():
-            expr = reduced[idx][1]
-            for a in range(len(witness)):
-                witness[a] = witness[a] + mult * expr[a]
-        check = FreeVector.zero(self.ring, self.rank)
-        for coeff, gen in zip(witness, self.generators):
-            check = check + gen.scale(coeff)
-        if check != v:
+            for e, c in mult.items():
+                _add_scaled(dom, witness, basis[idx].expr, e, c)
+        if _combine(dom, witness, self._gen_terms) != terms:
             raise InternalInvariantError("membership witness does not recombine")
-        return True, tuple(witness)
+        return True, _vector_of(self.ring, n, witness).comps
 
     def normal_form(self, v: FreeVector) -> FreeVector:
+        self._check_vector(v)
         if not self.generators:
             return v
-        nf, _ = _normal_form_vs(self.ring, self.rank,
-                                self.groebner_vectors(), v)
-        return nf
+        nf, _ = _normal_form_vs(self.ring, self.rank, self._engine_basis(),
+                                _terms_of(v))
+        return _vector_of(self.ring, self.rank, nf)
 
     def equals(self, other: "SubmoduleHandle") -> bool:
         if self.ring != other.ring or self.rank != other.rank:
@@ -470,25 +527,24 @@ def preimage(tracked, S: SubmoduleHandle) -> SubmoduleHandle:
     preimage (Greuel-Pfister, A Singular Introduction to Commutative
     Algebra, 2.8).  Every returned c is re-checked by membership in S.
     """
-    ring, rank = S.ring, S.rank
+    ring, rank, dom = S.ring, S.rank, S.ring.coeffs
     tracked = tuple(tracked)
     for t in tracked:
-        if t.ring != ring or t.rank != rank:
-            raise UsageError("vector rank or ring mismatch")
+        S._check_vector(t)
     k = len(tracked)
-    tail = (ring.zero(),) * k
-    augmented = [FreeVector(ring, t.comps + FreeVector.basis(ring, k, i).comps)
-                 for i, t in enumerate(tracked)]
-    augmented += [FreeVector(ring, s.comps + tail) for s in S.generators]
-    basis = SubmoduleHandle(ring, rank + k, augmented).groebner_vectors()
-    vectors = [FreeVector(ring, w.comps[rank:]) for w in basis
-               if w.lead()[0] >= rank]
-    for c in vectors:
-        image = FreeVector.zero(ring, rank)
-        for coeff, t in zip(c.comps, tracked):
-            image = image + t.scale(coeff)
-        if not S.contains(image)[0]:
-            raise InternalInvariantError("preimage element maps outside S")
+    tracked_terms = [_terms_of(t) for t in tracked]
+    one, zero_exp = dom.one(), (0,) * ring.nvars
+    augmented = [{**t, (rank + i, zero_exp): one}
+                 for i, t in enumerate(tracked_terms)]
+    augmented += S._gen_terms
+    vectors = []
+    for b in _reduced_terms(ring, rank + k, augmented):
+        if b.lead[0] >= rank:
+            c = {(i - rank, e): coeff for (i, e), coeff in b.terms.items()}
+            image = _vector_of(ring, rank, _combine(dom, c, tracked_terms))
+            if not S.contains(image)[0]:
+                raise InternalInvariantError("preimage element maps outside S")
+            vectors.append(_vector_of(ring, k, c))
     return SubmoduleHandle(ring, k, vectors)
 
 
@@ -528,7 +584,8 @@ def ideal_groebner(ring, generators):
 
 
 def ideal_contains(ring, gb_elements, element) -> bool:
-    nf, _ = _normal_form_vs(ring, 1,
-                            [FreeVector(ring, (g,)) for g in gb_elements],
-                            FreeVector(ring, (element,)))
-    return nf.is_zero()
+    basis = [_BasisElem(ring, {(0, e): c for e, c in g._terms.items()}, {}, i)
+             for i, g in enumerate(gb_elements)]
+    nf, _ = _normal_form_vs(ring, 1, basis,
+                            {(0, e): c for e, c in element._terms.items()})
+    return not nf

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import neg
 
 from .errors import InternalInvariantError, ParseError, UsageError
 
@@ -357,8 +358,7 @@ class RingDescriptor:
         """Sort key: larger key = larger monomial in this ring's order."""
         if self.order == "lex":
             return exp
-        total = sum(exp)
-        return (total,) + tuple(-exp[i] for i in range(len(exp) - 1, -1, -1))
+        return (sum(exp),) + tuple(map(neg, reversed(exp)))
 
     def var_index(self, name: str) -> int:
         try:

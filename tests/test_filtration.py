@@ -181,8 +181,19 @@ def test_search_deterministic(qxy):
 # -- one annihilator per element class ----------------------------------------
 
 
+# modules given here rather than as files under fixtures/
+INLINE_DOCUMENTS = {
+    "f5_triangular": {
+        "schema": "diagcert/1",
+        "ring": {"kind": "polynomial", "coefficients": {"prime_field": 5},
+                 "variables": ["x", "y"], "order": "grevlex"},
+        "matrix": [["x^2", "2*y"], ["0", "x + y"]]},
+}
+
+
 def fixture_module(fixtures_dir, name):
-    doc = load_document(str(fixtures_dir / f"{name}.json"))
+    doc = INLINE_DOCUMENTS.get(name) or \
+        load_document(str(fixtures_dir / f"{name}.json"))
     if "matrix" in doc:
         return FPModule.from_matrix(matrix_from_json(doc)[0])
     return module_from_json(doc)
@@ -203,6 +214,13 @@ PINNED_DIGESTS = {
         "403b36b76bd1fdfdcef5692cf75f6d37e2722aef5ca6887a867aee916d7f785c",
     ("z4", "search_minimal_cyclic_filtration"):
         "0f2d1bb554bffcabde94c13448b2c65411d766384d293248ae13d0b73a24d307",
+    # taken before the pool dropped unit multiples over field coefficients
+    ("f5_triangular", "sample_lattice"):
+        "785b95f73c1c7674417e46dd5a06f6686796e24734ba142ff764596a09472e72",
+    ("f5_triangular", "sample_basis_lattice"):
+        "1b73fedf07fc460d490c0165cc9d41beea53529d36776a829cd63f4d4845c9a3",
+    ("f5_triangular", "search_minimal_cyclic_filtration"):
+        "53adca2f7adc29b99684b008ac574a43c1f61ec4c3abb88009132b658ebed1b2",
 }
 
 
@@ -236,6 +254,20 @@ def test_search_annihilates_each_class_once(fixtures_dir, monkeypatch):
     # verify_filtration re-checks found chains on its own; none is found here
     assert len(annihilated) == len(set(annihilated))
     assert len(enumerations) == 1
+
+
+def test_unit_pool_drops_unit_multiples_over_fields_only(fixtures_dir, zx):
+    M = fixture_module(fixtures_dir, "f5_triangular")
+    bounds = Bounds()
+    full = enumerate_elements(M.ring, M.gens, bounds)
+    pool = filtration._unit_pool(M, bounds)
+    classes = [filtration._normalize_candidate(M.ring, v) for v in pool]
+    assert len(set(classes)) == len(pool) < len(full)
+    rest = iter(full)      # the pool keeps the order of the enumeration
+    assert all(any(v == w for w in rest) for v in pool)
+    N = FPModule.from_matrix(RingMatrix.parse(zx, [["2", "x"], ["0", "3"]]))
+    assert filtration._unit_pool(N, bounds) == \
+        enumerate_elements(zx, N.gens, bounds)
 
 
 ORACLE_BOUNDS = Bounds(degree=1, height=2, sample_elements=40)

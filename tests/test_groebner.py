@@ -1,11 +1,16 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from diagcert import groebner
+from diagcert.bounds import Bounds, applies_bounds
+from diagcert.errors import (InternalInvariantError, StepBudgetExceeded,
+                             UsageError)
 from diagcert.groebner import (FreeVector, SubmoduleHandle, colon,
                                groebner_basis, ideal_intersection, membership,
                                preimage, syzygies)
-from diagcert.rings import IdealHandle, RingDescriptor, ZZ
+from diagcert.rings import IdealHandle, RingDescriptor, RingElement, ZZ
 
 
 def vec(ring, *texts):
@@ -277,3 +282,140 @@ def test_colon_and_intersection_match_their_definitions(problem):
     both = ideal_intersection(I, J)
     for r in list(both.generators) + candidates:
         assert both.contains(r) == (I.contains(r) and J.contains(r))
+
+
+# -- the term-map engine against the dense reduction -------------------------
+
+
+def _dense_lead(vec):
+    for i, c in enumerate(vec.comps):
+        if not c.is_zero():
+            e, co = c.leading_term()
+            return i, e, co
+    raise AssertionError("zero vector has no lead")
+
+
+def dense_normal_form(ring, basis, vec):
+    """The reduction as it ran on dense FreeVectors before the engine moved
+    to term maps, kept as the oracle: (remainder, combo, steps)."""
+    dom, rank = ring.coeffs, vec.rank
+    leads = [_dense_lead(b) for b in basis]
+    combo, steps = {}, 0
+    remainder = FreeVector.zero(ring, rank)
+    work = vec
+    while not work.is_zero():
+        steps += 1
+        pos, exp, coeff = _dense_lead(work)
+        best = None
+        for idx, (bpos, bexp, bcoeff) in enumerate(leads):
+            if bpos != pos or any(a > b for a, b in zip(bexp, exp)):
+                continue
+            q, _ = dom.divmod_canonical(coeff, bcoeff)
+            if q == 0:
+                continue
+            key = (ring.monomial_key(bexp), dom.sort_key(bcoeff), idx)
+            if best is None or key < best[0]:
+                best = (key, idx, q)
+        if best is None:
+            move = FreeVector(ring, [ring.monomial(exp, coeff) if i == pos
+                                     else ring.zero() for i in range(rank)])
+            remainder = remainder + move
+            work = work - move
+        else:
+            _, idx, q = best
+            delta = tuple(a - b for a, b in zip(exp, leads[idx][1]))
+            work = work - FreeVector(ring, [c.mul_monomial(delta, q)
+                                            for c in basis[idx].comps])
+            combo[idx] = combo.get(idx, ring.zero()) + ring.monomial(delta, q)
+    return remainder, combo, steps
+
+
+@applies_bounds
+def _engine_normal_form(ring, basis, vec, bounds=None):
+    elems = [groebner._BasisElem(ring, groebner._terms_of(b), {}, i)
+             for i, b in enumerate(basis)]
+    return groebner._normal_form_vs(ring, vec.rank, elems,
+                                    groebner._terms_of(vec))
+
+
+@st.composite
+def reduction_problems(draw):
+    """(ring, basis, vector): rank <= 2, up to three nonzero basis vectors,
+    entries of degree at most 2."""
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    rank = draw(st.integers(1, 2))
+    entries = st.one_of(elements(ring), st.tuples(
+        elements(ring), elements(ring)).map(lambda ab: ab[0] * ab[1]))
+    vectors = st.lists(entries, min_size=rank, max_size=rank).map(
+        lambda comps: FreeVector(ring, comps))
+    basis = draw(st.lists(vectors.filter(lambda v: not v.is_zero()),
+                          min_size=1, max_size=3))
+    return ring, basis, draw(vectors)
+
+
+@PROPERTY_SETTINGS
+@given(reduction_problems())
+def test_term_map_reduction_matches_dense(problem):
+    ring, basis, vec = problem
+    remainder, combo, steps = dense_normal_form(ring, basis, vec)
+    nf, maps = _engine_normal_form(ring, basis, vec, Bounds(steps=steps or 1))
+    assert groebner._vector_of(ring, vec.rank, nf) == remainder
+    assert {i: RingElement(ring, m) for i, m in maps.items() if m} == \
+        {i: c for i, c in combo.items() if not c.is_zero()}
+    if steps > 1:
+        with pytest.raises(StepBudgetExceeded):
+            _engine_normal_form(ring, basis, vec, Bounds(steps=steps - 1))
+
+
+# -- entry checks and self-checks --------------------------------------------
+
+
+def test_normal_form_rejects_wrong_rank_or_ring(qxy):
+    S = SubmoduleHandle(qxy, 2, [vec(qxy, "x", "y"), vec(qxy, "0", "x")])
+    f5xy = RingDescriptor.polynomial(5, ["x", "y"], "grevlex")
+    for bad in (vec(qxy, "x + y"), vec(qxy, "1", "x", "y"),
+                vec(f5xy, "x", "y")):
+        for handle in (S, SubmoduleHandle(qxy, 2, ())):
+            with pytest.raises(UsageError):
+                handle.normal_form(bad)
+            with pytest.raises(UsageError):
+                handle.contains(bad)
+    assert S.normal_form(vec(qxy, "x + y", "x")) == vec(qxy, "y", "-y")
+
+
+def _corrupt(expr, ring):
+    """Add x^5 times the first generator to a term map over the generators."""
+    expr[0, (5,) + (0,) * (ring.nvars - 1)] = ring.coeffs.one()
+
+
+def test_reduced_groebner_rejects_a_bad_expression(qxy, monkeypatch):
+    real = groebner._Engine.reduced_basis
+
+    def corrupted(self):
+        out = real(self)
+        _corrupt(out[0][1], self.ring)
+        return out
+
+    monkeypatch.setattr(groebner._Engine, "reduced_basis", corrupted)
+    S = SubmoduleHandle(qxy, 1, [vec(qxy, "x"), vec(qxy, "y")])
+    with pytest.raises(InternalInvariantError, match="does not recombine"):
+        S.reduced_groebner()
+
+
+def test_contains_rejects_a_bad_witness(qxy):
+    S = SubmoduleHandle(qxy, 1, [vec(qxy, "x"), vec(qxy, "y")])
+    assert S.contains(vec(qxy, "x^2 + y"))[0]
+    for b in S._engine_basis():
+        _corrupt(b.expr, qxy)
+    with pytest.raises(InternalInvariantError, match="witness does not recombine"):
+        S.contains(vec(qxy, "x^2 + y"))
+
+
+def test_preimage_rechecks_each_element(qxy, monkeypatch):
+    S = SubmoduleHandle(qxy, 1, [vec(qxy, "x^2")])
+    assert ideal_strs(colon(S, vec(qxy, "x"))) == ["x"]
+    monkeypatch.setattr(SubmoduleHandle, "contains",
+                        lambda self, v: (False, None))
+    with pytest.raises(InternalInvariantError,
+                       match="preimage element maps outside S"):
+        preimage([vec(qxy, "x")], S)
