@@ -369,28 +369,39 @@ class ObstructionRecord:
 
 
 def _diagonal_candidates(ring, factorization: FactorResult, n: int):
-    """All diagonals with the given determinant, up to associates and order."""
-    primes = [(p, m) for p, m in factorization.factors]
-    distributions = [[]]
-    for p, mult in primes:
+    """All diagonals with the given determinant, up to associates and order.
+
+    A candidate is a multiset of n slot exponent vectors, one exponent per
+    prime, summing to the multiplicities.  The multisets grow one prime at a
+    time: splitting the next prime over two equal multisets gives the same
+    multisets again, so each is kept once.  Each slot's product is computed
+    once per exponent vector.
+    """
+    primes = [p for p, _ in factorization.factors]
+    shapes = {((),) * n}
+    for _, mult in factorization.factors:
         splits = []
         for bars in combinations_with_replacement(range(n), mult):
             counts = [0] * n
             for b in bars:
                 counts[b] += 1
             splits.append(counts)
-        # deduplicate unordered exponent splits per prime later, via multiset
-        distributions = [d + [s] for d in distributions for s in splits]
+        shapes = {tuple(sorted(slot + (c,) for slot, c in zip(shape, counts)))
+                  for shape in shapes for counts in splits}
+    products = {}
+
+    def entry(vector):
+        if vector not in products:
+            e = ring.one()
+            for p, k in zip(primes, vector):
+                e = e * p ** k
+            products[vector] = e.canonical_associate()[1]
+        return products[vector]
+
     seen = set()
     out = []
-    for dist in distributions:
-        entries = []
-        for slot in range(n):
-            e = ring.one()
-            for (p, _), counts in zip(primes, dist):
-                e = e * p ** counts[slot]
-            entries.append(e.canonical_associate()[1])
-        entries.sort(key=lambda e: e.sort_key())
+    for shape in sorted(shapes):
+        entries = sorted((entry(v) for v in shape), key=lambda e: e.sort_key())
         key = tuple(str(e) for e in entries)
         if key not in seen:
             seen.add(key)
@@ -405,12 +416,14 @@ def _try_obstruction(m: RingMatrix, det: RingElement):
     if not factorization.complete:
         return None
     n = m.nrows
-    matrix_fitting = {k: fitting_ideal(m, k) for k in range(1, n)}
+    matrix_fitting = {}   # filled when a candidate first reaches index k
     refutations = []
     for cand in _diagonal_candidates(m.ring, factorization, n):
         cand_matrix = RingMatrix.diagonal(m.ring, list(cand))
         hit = None
         for k in range(1, n):
+            if k not in matrix_fitting:
+                matrix_fitting[k] = fitting_ideal(m, k)
             lhs = matrix_fitting[k]
             rhs = fitting_ideal(cand_matrix, k)
             if lhs != rhs:
@@ -598,9 +611,12 @@ def analyze(m: RingMatrix, bounds: Bounds = None, claims: dict = None) -> Diagno
         return report
     report.full_rank = True
     report.pd_one = not det.is_unit()
-    report.det_factorization = None if det.is_unit() else factor(det)
-
-    report.diagonalizable = diagonalize(m, bounds)
+    diag = report.diagonalizable = diagonalize(m, bounds)
+    if diag.verdict == "no":
+        # the refutation has factored this determinant already
+        report.det_factorization = diag.obstruction.det_factorization
+    elif not det.is_unit():
+        report.det_factorization = factor(det)
 
     if det.is_unit():
         report.degenerate = "unit determinant presents the zero module"
@@ -613,7 +629,6 @@ def analyze(m: RingMatrix, bounds: Bounds = None, claims: dict = None) -> Diagno
     report.filtration = search_minimal_cyclic_filtration(FPModule.from_matrix(m),
                                                          bounds)
 
-    diag = report.diagonalizable
     if diag.verdict == "yes":
         cert_t = transpose_certificate_from_diagonal(diag.certificate)
         report.consistency.append(

@@ -77,15 +77,12 @@ class AnnihilatorSample:
     bounds: Bounds
 
     def ideals(self):
-        """Distinct sampled annihilators, canonical order."""
-        seen = []
-        for e in self.entries:
-            if all(e.ideal != s for s in seen):
-                seen.append(e.ideal)
-        return seen
+        """Distinct sampled annihilators, canonical order; `_lattice` keeps
+        one entry per distinct ideal."""
+        return [e.ideal for e in self.entries]
 
     def contains_ideal(self, ideal: IdealHandle) -> bool:
-        return any(ideal == e for e in self.ideals())
+        return any(ideal == e.ideal for e in self.entries)
 
     def to_json(self):
         return {"bounds": self.bounds.to_json(),

@@ -13,7 +13,9 @@ this module beyond ring arithmetic and imports none of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 from . import verifier
 from .errors import (InternalInvariantError, NotEuclideanError, UsageError)
@@ -149,7 +151,6 @@ def determinant(m: RingMatrix) -> RingElement:
     n = m.nrows
     a = [list(r) for r in m.rows]
     sign = 1
-    prev = ring.one()
     for k in range(n - 1):
         if a[k][k].is_zero():
             pivot_row = None
@@ -164,10 +165,11 @@ def determinant(m: RingMatrix) -> RingElement:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                q = exact_divide(num, prev)
-                if q is None:
-                    raise InternalInvariantError("Bareiss division failed")
-                a[i][j] = q
+                if k:  # the first step divides by 1
+                    num = exact_divide(num, prev)
+                    if num is None:
+                        raise InternalInvariantError("Bareiss division failed")
+                a[i][j] = num
             a[i][k] = ring.zero()
         prev = a[k][k]
     det = a[n - 1][n - 1]
@@ -205,19 +207,25 @@ def inverse_unimodular(m: RingMatrix) -> RingMatrix:
 
 
 def fitting_ideal(m: RingMatrix, k: int) -> IdealHandle:
-    """Ideal of all k x k minors; k = 0 gives the unit ideal."""
+    """Ideal of all k x k minors; k = 0 gives the unit ideal.
+
+    The only nonzero k-minors of a square diagonal matrix are the products
+    of k of its diagonal entries, so those are taken directly.
+    """
     if k < 0 or k > min(m.nrows, m.ncols):
         raise UsageError(f"minor size {k} out of range")
     ring = m.ring
     if k == 0:
         return IdealHandle(ring, [ring.one()])
-    gens = []
-    for rows_idx in combinations(range(m.nrows), k):
-        for cols_idx in combinations(range(m.ncols), k):
-            d = determinant(m.submatrix(rows_idx, cols_idx))
-            if not d.is_zero():
-                gens.append(d.canonical_associate()[1])
-    return IdealHandle(ring, sorted(set(gens), key=lambda e: e.sort_key()))
+    if m.is_square() and m.is_diagonal():
+        minors = (reduce(mul, entries)
+                  for entries in combinations(m.diagonal_entries(), k))
+    else:
+        minors = (determinant(m.submatrix(rows_idx, cols_idx))
+                  for rows_idx in combinations(range(m.nrows), k)
+                  for cols_idx in combinations(range(m.ncols), k))
+    gens = {d.canonical_associate()[1] for d in minors if not d.is_zero()}
+    return IdealHandle(ring, sorted(gens, key=lambda e: e.sort_key()))
 
 
 # ---------------------------------------------------------------------------

@@ -331,3 +331,180 @@ def test_budget_error_in_early_refutation_waits_for_the_search(
     assert dumps(diagonalize(m).to_json()) == dumps(TRIANGULAR_YES)
     with pytest.raises(StepBudgetExceeded):
         diagonalize(m, Bounds(search_nodes=40))
+
+
+# ---------------------------------------------------------------------------
+# the No path: candidates, the record's self-check, one factorization, bytes
+
+
+def brute_candidates(ring, factorization, n):
+    """Every exponent distribution multiplied out, deduplicated by strings:
+    the enumeration before equal multisets were merged ahead of the
+    products."""
+    from itertools import combinations_with_replacement
+    primes = list(factorization.factors)
+    distributions = [[]]
+    for _, mult in primes:
+        splits = []
+        for bars in combinations_with_replacement(range(n), mult):
+            counts = [0] * n
+            for b in bars:
+                counts[b] += 1
+            splits.append(counts)
+        distributions = [d + [s] for d in distributions for s in splits]
+    seen, out = set(), []
+    for dist in distributions:
+        entries = []
+        for slot in range(n):
+            e = ring.one()
+            for (p, _), counts in zip(primes, dist):
+                e = e * p ** counts[slot]
+            entries.append(e.canonical_associate()[1])
+        entries.sort(key=lambda e: e.sort_key())
+        key = tuple(str(e) for e in entries)
+        if key not in seen:
+            seen.add(key)
+            out.append(tuple(entries))
+    out.sort(key=lambda cand: tuple(e.sort_key() for e in cand))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("mults", [(1,), (3,), (1, 1), (2, 1), (3, 3),
+                                   (1, 1, 1), (2, 1, 1), (3, 2, 1)])
+@pytest.mark.parametrize("primes", [("x", "y", "x + y"), ("2", "3", "5")],
+                         ids=["Q[x,y]", "Z"])
+def test_diagonal_candidates_match_brute_force(qxy, zz, primes, mults, n):
+    from diagcert.diagonalizer import _diagonal_candidates
+    from diagcert.factorize import FactorResult
+    ring = zz if primes[0] == "2" else qxy
+    factorization = FactorResult(
+        ring.one(), [(ring.parse(p), k) for p, k in zip(primes, mults)], True)
+    got = _diagonal_candidates(ring, factorization, n)
+    want = brute_candidates(ring, factorization, n)
+    assert got == want
+    assert [[str(e) for e in c] for c in got] == \
+        [[str(e) for e in c] for c in want]
+
+
+SCRAMBLE_RINGS = {
+    "Q[x,y]": ("rationals", ["x", "y"], "grevlex"),
+    "Z[x,y]": ("integers", ["x", "y"], "grevlex"),
+    "F5[x,y]": (5, ["x", "y"], "grevlex"),
+    "Z[x]": ("integers", ["x"], "lex"),
+}
+JORDAN_CORE = (("x", "y"), ("0", "x"))
+# per ring: the non-diagonalizable 2 x 2 core, and the entry that extends it
+# to n = 3
+SCRAMBLE_CORES = {
+    "Q[x,y]": (JORDAN_CORE, "x"),
+    "Z[x,y]": (JORDAN_CORE, "x*y"),
+    "F5[x,y]": (JORDAN_CORE, "x + y"),
+    "Z[x]": ((("2", "x"), ("0", "2")), "2*x"),
+}
+
+
+def scrambled_core(key, n):
+    from diagcert.rings import RingDescriptor
+    from diagcert.testkit import random_recipe, scramble
+    ring = RingDescriptor.polynomial(*SCRAMBLE_RINGS[key])
+    core, extra = SCRAMBLE_CORES[key]
+    rows = [[ring.zero()] * n for _ in range(n)]
+    for i in range(2):
+        for j in range(2):
+            rows[i][j] = ring.parse(core[i][j])
+    if n == 3:
+        rows[2][2] = ring.parse(extra)
+    m, _ = scramble(RingMatrix(ring, rows), random_recipe(ring, n, n + 1, 7))
+    return m
+
+
+def test_obstruction_verify_rejects_tampering():
+    from dataclasses import replace
+    m = scrambled_core("Z[x]", 3)
+    record = diagonalize(m).obstruction
+    assert record.verify(m)
+    refs = record.refutations
+    fac = record.det_factorization
+    # two refutations at one index whose candidate ideals differ
+    a, b = next((a, b) for a in refs for b in refs
+                if a.fitting_index == b.fitting_index
+                and a.candidate_ideal != b.candidate_ideal)
+    # an index where the matrix ideal differs from the recorded one
+    wrong_k = next(k for k in range(3) if k != refs[0].fitting_index
+                   and fitting_ideal(m, k) != refs[0].matrix_ideal)
+    other_fac = diagonalize(scrambled_core("Z[x]", 2)).obstruction \
+        .det_factorization
+    assert other_fac.expand() != fac.expand()
+    tampered = {
+        "dropped refutation": replace(record, refutations=refs[1:]),
+        "swapped candidate ideal": replace(record, refutations=tuple(
+            replace(r, candidate_ideal=b.candidate_ideal) if r is a else r
+            for r in refs)),
+        "wrong fitting index": replace(record, refutations=(
+            replace(refs[0], fitting_index=wrong_k),) + refs[1:]),
+        "incomplete factorization": replace(
+            record, det_factorization=replace(fac, complete=False)),
+        "another matrix's determinant": replace(
+            record, det_factorization=other_fac),
+        # the same candidates, so only the expansion can tell
+        "the negated determinant": replace(
+            record, det_factorization=replace(fac, unit=-fac.unit)),
+    }
+    for what, bad in tampered.items():
+        assert not bad.verify(m), what
+
+
+def test_analyze_factors_the_determinant_once(fixtures_dir, monkeypatch):
+    import diagcert.diagonalizer as dz
+    calls = []
+    real = dz.factor
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(dz, "factor", counting)
+    report = analyze(_fixture_matrix(fixtures_dir, "jordan_block.json"))
+    assert report.diagonalizable.verdict == "no"
+    assert report.det_factorization is \
+        report.diagonalizable.obstruction.det_factorization
+    assert len(calls) == 1
+
+
+# sha256 of dumps(diagonalize(m).to_json()), taken while every candidate was
+# multiplied out per exponent distribution and every Fitting ideal came from
+# all minors by Bareiss
+NO_PATH_DIGESTS = {
+    ("jordan_block", 2):
+        "b2b906709e8592dfa277602dad07e9a2be9808844f41a7e4dfcb0cbe45b26b8c",
+    ("Q[x,y]", 2):
+        "4f155166fa393725d29ce0fe1ccf5266eecd0954a5b7487772ae867e78cf0e5d",
+    ("Q[x,y]", 3):
+        "7c1c04889a7add0301c5912c3827dfd43000f02c9788bbf7305cfab548b877e4",
+    ("Z[x,y]", 2):
+        "e3c8aef5c21bf97de962ee8d86756eb427e99aaf060e68f5c9fb64b5b36e5c99",
+    ("Z[x,y]", 3):
+        "9db187b60cc8197fa134b8f6ea3c42bf70c75bd7111516ce418abb83807060d8",
+    ("F5[x,y]", 2):
+        "e00ddda754809180b9230b25f95ce0755f2bc39aa32b81dc379b8c7867a2d833",
+    ("F5[x,y]", 3):
+        "ccbd14e649aecd6ace4a62bcf48804fabb3f48e2062d93ca1c43e97a315bca40",
+    ("Z[x]", 2):
+        "9b2dd0ab91645745ed9a97b4ececc90fd93d35de80c9ddebc77a7ae95c372986",
+    ("Z[x]", 3):
+        "f99f9ae16f737c2fd3edd636bfeab4438d2802576b2076f3767dc499e97202db",
+}
+
+
+@pytest.mark.parametrize("key, n", sorted(NO_PATH_DIGESTS))
+def test_no_path_bytes_pinned(fixtures_dir, key, n):
+    import hashlib
+    if key == "jordan_block":
+        m = _fixture_matrix(fixtures_dir, "jordan_block.json")
+    else:
+        m = scrambled_core(key, n)
+    result = diagonalize(m)
+    assert result.verdict == "no"
+    text = dumps(result.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == NO_PATH_DIGESTS[key, n]

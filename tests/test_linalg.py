@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,6 +9,7 @@ from diagcert.linalg import (ColAdd, EquivalenceCertificate, RingMatrix,
                              RowAdd, RowScale, RowSwap, Workbench, apply_elementary,
                              determinant, fitting_ideal, inverse_unimodular,
                              smith_normal_form, verify_certificate)
+from diagcert.rings import ZZ, IdealHandle, RingDescriptor
 
 
 def perm_det(m):
@@ -245,3 +246,75 @@ def test_snf_singular_matrix(zz):
     form = smith_normal_form(m)
     assert [str(d) for d in form.invariant_factors] == ["1"]
     assert str(form.certificate.target.rows[1][1]) == "0"
+
+
+# ---------------------------------------------------------------------------
+# the diagonal route of fitting_ideal against all minors by Bareiss
+
+
+def all_minors_ideal(m, k):
+    """The Fitting ideal from every k x k minor by Bareiss, as built before
+    diagonal matrices took their k-products directly."""
+    gens = set()
+    for rows_idx in combinations(range(m.nrows), k):
+        for cols_idx in combinations(range(m.ncols), k):
+            d = determinant(m.submatrix(rows_idx, cols_idx))
+            if not d.is_zero():
+                gens.add(d.canonical_associate()[1])
+    return IdealHandle(m.ring, sorted(gens, key=lambda e: e.sort_key()))
+
+
+# per ring: units, then non-units; each draw mixes both and repeats entries
+DIAGONAL_POOLS = {
+    "Z": (["1", "-1"], ["2", "-3", "4", "6", "-9"]),
+    "Z[x,y]": (["1", "-1"], ["2", "x", "-x", "x + y", "2*x*y", "x^2 - 1"]),
+    "Q[x,y]": (["1", "-1/2", "3"], ["x", "2*y", "x + y", "x*y - 1", "x^2"]),
+    "F5[x,y]": (["1", "3"], ["x", "2*y + 1", "x + y", "x*y", "4*x^2"]),
+}
+
+
+def diagonal_ring(key):
+    if key == "Z":
+        return ZZ
+    coeffs = {"Z[x,y]": "integers", "Q[x,y]": "rationals", "F5[x,y]": 5}[key]
+    return RingDescriptor.polynomial(coeffs, ["x", "y"], "grevlex")
+
+
+@pytest.mark.parametrize("key", sorted(DIAGONAL_POOLS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_diagonal_fitting_ideal_matches_all_minors(key, n):
+    ring = diagonal_ring(key)
+    units, others = DIAGONAL_POOLS[key]
+    rng = random.Random(f"{key}/{n}")
+    draws = [[rng.choice(others) for _ in range(n)],      # may repeat
+             [others[0]] * n,                             # all equal
+             [rng.choice(units + others) for _ in range(n)]]
+    draws[2][0] = rng.choice(units)                       # a unit entry
+    for entries in draws:
+        m = RingMatrix.diagonal(ring, [ring.parse(e) for e in entries])
+        for k in range(1, n + 1):
+            fast, slow = fitting_ideal(m, k), all_minors_ideal(m, k)
+            assert fast.generators == slow.generators, (entries, k)
+            assert fast.groebner() == slow.groebner(), (entries, k)
+
+
+def test_bareiss_divides_only_after_the_first_step(qxy, monkeypatch):
+    # the first step divides by 1 and is skipped; every later division still
+    # goes through exact_divide and its re-multiplication check
+    import diagcert.linalg as la
+    divisors = []
+    real = la.exact_divide
+
+    def spy(a, b):
+        divisors.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(la, "exact_divide", spy)
+    rng = random.Random(5)
+    for n in range(1, 6):
+        m = rand_matrix(rng, qxy, n)
+        while m.rows[0][0].is_zero():
+            m = rand_matrix(rng, qxy, n)
+        divisors.clear()
+        assert determinant(m) == perm_det(m) != qxy.zero()
+        assert len(divisors) == sum((n - 1 - k) ** 2 for k in range(1, n - 1))
