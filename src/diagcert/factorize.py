@@ -6,7 +6,9 @@ Methods, all exact and desk-scale:
     interpolation method (complete whenever the budgets hold out);
   * univariate over F_p: exhaustive search over low-degree monic divisors;
   * multivariate: Kronecker substitution x_i -> t^(D^i) to the univariate
-    case, then subset lifting of the univariate factors.
+    case, then subset lifting of the univariate factors.  One lift serves
+    Z, Q and F_p; the domain picks the univariate factorer, whether lifted
+    images are reduced mod p and whether a cofactor gets its own weights.
 
 A result with complete=False means some returned factor is not certified
 prime; downstream refutation logic must then refuse to conclude anything.
@@ -346,12 +348,12 @@ def _monomial_part(a: RingElement):
     return monos, stripped
 
 
-def _kronecker_image(a: RingElement, weights, to_int):
+def _kronecker_image(a: RingElement, weights):
     deg = 0
     out = {}
     for e, coeff in a._terms.items():
         t = sum(w * k for w, k in zip(weights, e))
-        out[t] = to_int(coeff)
+        out[t] = int(coeff)
         deg = max(deg, t)
     c = [0] * (deg + 1)
     for t, x in out.items():
@@ -378,13 +380,31 @@ def _kronecker_preimage(ring, c, weights, base):
     return RingElement(ring, terms)
 
 
-def _multivariate_factor(a: RingElement, budget: _Budget):
-    """Factor a with no monomial part and unit content; Z or Q coefficients."""
+def _kronecker_weights(a: RingElement):
+    """(weights, base) of the substitution x_i -> t^weights[i]: base exceeds
+    every degree of a, and the variables a uses get base^0, base^1, ..."""
+    used = sorted(a.variables_used())
+    base = max(a.degree_in(v) for v in used) + 1
+    weights = [0] * a.ring.nvars
+    w = 1
+    for v in used:
+        weights[v] = w
+        w *= base
+    return weights, base
+
+
+def _kronecker_factor(a: RingElement, weights, base, budget: _Budget):
+    """Factor a non-constant a with no monomial part and unit content, over
+    Z, Q or F_p, through the substitution given by weights and base.
+
+    The image is factored by _fp_factor over F_p and by
+    _kronecker_univariate otherwise.  Each cofactor found is factored again,
+    over F_p with the same weights and over Z and Q with its own.
+    """
     ring = a.ring
     dom = ring.coeffs
-    used = sorted(a.variables_used())
-    if not used:
-        return []
+    fp = isinstance(dom, PrimeFieldCoeffs)
+    work = a
     if isinstance(dom, RationalCoeffs):
         denom = 1
         for _, coeff in a._terms.items():
@@ -392,22 +412,11 @@ def _multivariate_factor(a: RingElement, budget: _Budget):
         scaled = a.scale(Fraction(denom))
         ints = {e: int(c) for e, c in scaled._terms.items()}
         cont = _z_content(list(ints.values()))
-        ints = {e: c // cont for e, c in ints.items()}
-        to_int = int
-        work = RingElement(ring, {e: Fraction(c) for e, c in ints.items()})
-    else:
-        to_int = int
-        work = a
+        work = RingElement(ring, {e: Fraction(c // cont) for e, c in ints.items()})
 
-    base = max(work.degree_in(v) for v in used) + 1
-    weights = [0] * ring.nvars
-    w = 1
-    for v in used:
-        weights[v] = w
-        w *= base
-
-    image = _kronecker_image(work, weights, to_int)
-    univ = _kronecker_univariate(image, budget)
+    image = _kronecker_image(work, weights)
+    univ = (_fp_factor(image, dom.p, budget) if fp
+            else _kronecker_univariate(image, budget))
     if len(univ) == 1:
         # irreducible image => irreducible polynomial (when budget held)
         return [a.canonical_associate()[1]]
@@ -415,14 +424,19 @@ def _multivariate_factor(a: RingElement, budget: _Budget):
     # subset lifting: an irreducible factor of `work` maps to a product of a
     # sub-multiset of the image factors
     for g_img in _submultiset_products(univ, budget):
+        if fp:
+            # an unreduced coefficient can overflow the preimage's digits
+            g_img = [c % dom.p for c in g_img]
         cand = _kronecker_preimage(ring, g_img, weights, base)
         if cand is None or cand.is_constant():
             continue
         cand = cand.canonical_associate()[1]
         rest = exact_divide(work, cand)
         if rest is not None and not rest.is_unit():
-            return [cand] + _multivariate_factor(
-                rest.canonical_associate()[1], budget)
+            rest = rest.canonical_associate()[1]
+            if not fp:
+                weights, base = _kronecker_weights(rest)
+            return [cand] + _kronecker_factor(rest, weights, base, budget)
     return [a.canonical_associate()[1]]
 
 
@@ -500,21 +514,9 @@ def factor(a: RingElement) -> FactorResult:
         unit = u
 
     if not rest.is_unit():
-        if isinstance(dom, PrimeFieldCoeffs):
-            used = sorted(rest.variables_used())
-            base = max(rest.degree_in(v) for v in used) + 1
-            weights = [0] * ring.nvars
-            w = 1
-            for v in used:
-                weights[v] = w
-                w *= base
-            image = _kronecker_image(rest, weights, lambda c: c % dom.p)
-            univ = _fp_factor(image, dom.p, budget)
-            lifted = _lift_fp(ring, rest, univ, weights, base, dom.p, budget)
-            factors.extend((p, 1) for p in lifted)
-        else:
-            parts = _multivariate_factor(rest, budget)
-            factors.extend((p, 1) for p in parts)
+        weights, base = _kronecker_weights(rest)
+        factors.extend((p, 1) for p in _kronecker_factor(rest, weights, base,
+                                                         budget))
 
     merged = {}
     for p, m in factors:
@@ -522,24 +524,6 @@ def factor(a: RingElement) -> FactorResult:
     result = FactorResult(unit, _sort_factors(merged.items()), budget.ok)
     _verify(result, a)
     return result
-
-
-def _lift_fp(ring, work, univ, weights, base, p, budget):
-    if len(univ) <= 1:
-        return [work.canonical_associate()[1]]
-    for g_img in _submultiset_products(univ, budget):
-        g_img = [c % p for c in g_img]
-        cand = _kronecker_preimage(ring, g_img, weights, base)
-        if cand is None or cand.is_constant():
-            continue
-        cand = cand.canonical_associate()[1]
-        rest = exact_divide(work, cand)
-        if rest is not None and not rest.is_unit():
-            rest = rest.canonical_associate()[1]
-            image = _kronecker_image(rest, weights, lambda c: c % p)
-            return [cand] + _lift_fp(ring, rest, _fp_factor(image, p, budget),
-                                     weights, base, p, budget)
-    return [work.canonical_associate()[1]]
 
 
 def _sort_factors(items):

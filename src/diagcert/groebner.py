@@ -15,9 +15,11 @@ Inside the engine a vector of R^rank is one sparse term map
 Fraction or a residue mod p), with no zero coefficients.  A reduction step
 updates its work map in place and touches only the terms of the reducer,
 as in sparse polynomial division (Monagan-Pearce, CASC 2007), though the
-lead is found by a scan rather than a heap.  FreeVector is the boundary
-type: SubmoduleHandle converts generators to term maps on the way in and
-basis vectors back on the way out.
+lead is found by a scan rather than a heap.  One reduction routine serves
+the Buchberger loop, the tail reduction and membership, each against the
+basis it is given.  FreeVector is the boundary type: SubmoduleHandle
+converts generators to term maps on the way in, caches its reduced basis
+once as term maps, and converts basis vectors back on the way out.
 
 Every basis element carries its expression in terms of the input generators,
 which is how membership witnesses are produced; each witness is recombined
@@ -91,9 +93,6 @@ class FreeVector:
 
     def __hash__(self):
         return hash((self.ring, self.comps))
-
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.comps)
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
@@ -254,9 +253,9 @@ class _Engine:
                 heapq.heappush(self.pairs, (key, i, j, "g"))
 
     # reduction -------------------------------------------------------------
-    def _find_reducer(self, pos, exp, coeff):
+    def _find_reducer(self, basis, pos, exp, coeff):
         best = None
-        for elem in self.basis:
+        for elem in basis:
             bpos, bexp, bcoeff = elem.lead
             if bpos != pos or not _exp_divides(bexp, exp):
                 continue
@@ -269,9 +268,10 @@ class _Engine:
             return None
         return best[1], best[2]
 
-    def _normal_form(self, terms):
-        """(nf, combo) with terms = nf + sum(combo[idx] * basis[idx].terms);
-        nf is a term map and each combo[idx] a polynomial map {exp: coeff}."""
+    def _normal_form(self, basis, terms):
+        """(nf, combo) with terms = nf + sum(combo[b.index] * b.terms) over
+        the _BasisElem b of `basis`; nf is a term map and each combo value a
+        polynomial map {exp: coeff}.  Every step ticks this engine."""
         dom = self.dom
         combo = {}
         remainder = {}
@@ -279,7 +279,7 @@ class _Engine:
         while work:
             self._tick()
             pos, exp, coeff = _lead(self.ring, work)
-            red = self._find_reducer(pos, exp, coeff)
+            red = self._find_reducer(basis, pos, exp, coeff)
             if red is None:
                 remainder[pos, exp] = work.pop((pos, exp))
             else:
@@ -345,7 +345,7 @@ class _Engine:
             if self._chain_criterion(key, i, j):
                 continue
             vec, parts = self._pair_vector(i, j, kind)
-            nf, combo = self._normal_form(vec)
+            nf, combo = self._normal_form(self.basis, vec)
             if nf:
                 expr = {}
                 for b, t, m in parts:
@@ -371,22 +371,18 @@ class _Engine:
                     break
             if not redundant:
                 kept.append(elem)
-        # tail reduction against the kept set
-        sub = _Engine.__new__(_Engine)
-        sub.ring, sub.rank, sub.dom = self.ring, self.rank, self.dom
-        sub.steps_left = self.steps_left
+        # tail reduction against the rest of the kept set
         results = []
         for elem in kept:
             pos, exp, coeff = elem.lead
             tail = dict(elem.terms)
             del tail[pos, exp]
-            sub.basis = [k for k in kept if k is not elem]
-            vec, combo = sub._normal_form(tail)
+            vec, combo = self._normal_form([k for k in kept if k is not elem],
+                                           tail)
             vec[pos, exp] = coeff     # every tail term is smaller
             expr = dict(elem.expr)
             self._subtract_combo(expr, combo)
             results.append((vec, expr))
-        self.steps_left = sub.steps_left
         results.sort(key=lambda r: _module_key(self.ring, self.rank,
                                                *_lead(self.ring, r[0])[:2]))
         return results
@@ -394,11 +390,7 @@ class _Engine:
 
 def _normal_form_vs(ring, rank, basis, terms):
     """Normal form of a term map against a fixed list of _BasisElem."""
-    eng = _Engine.__new__(_Engine)
-    eng.ring, eng.rank, eng.dom = ring, rank, ring.coeffs
-    eng.steps_left = current_steps()
-    eng.basis = basis
-    return eng._normal_form(terms)
+    return _Engine(ring, rank, ())._normal_form(basis, terms)
 
 
 def _reduced_terms(ring, rank, gens):
@@ -421,12 +413,11 @@ class SubmoduleHandle:
     """A finitely generated submodule of R^rank given by generators.
 
     Zero generators are kept, so membership witnesses have one coordinate
-    per generator.  The reduced basis is computed once and kept twice: as
-    term maps for the engine, and as FreeVectors for callers.
+    per generator.  The reduced basis is computed once and kept as term maps
+    with their expressions; callers receive it as FreeVectors.
     """
 
-    __slots__ = ("ring", "rank", "generators", "_gen_terms", "_basis",
-                 "_reduced")
+    __slots__ = ("ring", "rank", "generators", "_gen_terms", "_basis")
 
     def __init__(self, ring: RingDescriptor, rank: int, generators):
         gens = []
@@ -441,7 +432,6 @@ class SubmoduleHandle:
         self.generators = tuple(gens)
         self._gen_terms = tuple(_terms_of(g) for g in gens)
         self._basis = None
-        self._reduced = None
 
     def _check_vector(self, v):
         if not isinstance(v, FreeVector) or v.ring != self.ring \
@@ -456,17 +446,9 @@ class SubmoduleHandle:
 
     # queries ---------------------------------------------------------------
     def reduced_groebner(self):
-        """[(vector, expression-in-generators)] of the reduced basis, cached."""
-        if self._reduced is None:
-            n = len(self.generators)
-            self._reduced = tuple(
-                (_vector_of(self.ring, self.rank, b.terms),
-                 _vector_of(self.ring, n, b.expr).comps)
-                for b in self._engine_basis())
-        return self._reduced
-
-    def groebner_vectors(self):
-        return tuple(vec for vec, _ in self.reduced_groebner())
+        """The reduced basis as FreeVectors."""
+        return tuple(_vector_of(self.ring, self.rank, b.terms)
+                     for b in self._engine_basis())
 
     def contains(self, v: FreeVector):
         """(True, witness) with v = sum(witness[i] * generators[i]), or (False, None)."""
@@ -501,15 +483,12 @@ class SubmoduleHandle:
     def equals(self, other: "SubmoduleHandle") -> bool:
         if self.ring != other.ring or self.rank != other.rank:
             return False
-        return self.groebner_vectors() == other.groebner_vectors()
-
-    def sort_key(self):
-        return tuple(v.sort_key() for v in self.groebner_vectors())
+        return self.reduced_groebner() == other.reduced_groebner()
 
 
 def groebner_basis(S: SubmoduleHandle) -> SubmoduleHandle:
     """Handle whose generators are the reduced Groebner basis of S."""
-    return SubmoduleHandle(S.ring, S.rank, S.groebner_vectors())
+    return SubmoduleHandle(S.ring, S.rank, S.reduced_groebner())
 
 
 def membership(v: FreeVector, S: SubmoduleHandle):
@@ -573,14 +552,10 @@ def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:
 # rank-1 helpers used by rings.IdealHandle
 
 
-def _wrap(ring, elements):
-    return SubmoduleHandle(ring, 1, [FreeVector(ring, (e,)) for e in elements
-                                     if not e.is_zero()])
-
-
 def ideal_groebner(ring, generators):
-    handle = _wrap(ring, generators)
-    return [vec.comps[0] for vec in handle.groebner_vectors()]
+    handle = SubmoduleHandle(ring, 1, [FreeVector(ring, (e,))
+                                       for e in generators if not e.is_zero()])
+    return [vec.comps[0] for vec in handle.reduced_groebner()]
 
 
 def ideal_contains(ring, gb_elements, element) -> bool:

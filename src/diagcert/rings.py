@@ -102,9 +102,6 @@ class _CoeffDomain:
     def from_fraction(self, num: int, den: int):
         raise NotImplementedError
 
-    def to_str(self, a) -> str:
-        return str(a)
-
     def sort_key(self, a):
         return a
 
@@ -220,9 +217,6 @@ class RationalCoeffs(_CoeffDomain):
 
     def from_fraction(self, num, den):
         return Fraction(num, den)
-
-    def to_str(self, a):
-        return str(a)
 
 
 class PrimeFieldCoeffs(_CoeffDomain):
@@ -658,16 +652,8 @@ def divides(b: RingElement, a: RingElement) -> bool:
 
 def _content_and_primitive(a: RingElement, v: int):
     """Content (gcd of v-coefficients) and primitive part of a w.r.t. variable v."""
-    by_deg = {}
-    dom = a.ring.coeffs
-    for e, c in a._terms.items():
-        k = e[v]
-        stripped = tuple(0 if i == v else x for i, x in enumerate(e))
-        coeff_poly = by_deg.setdefault(k, {})
-        coeff_poly[stripped] = dom.add(coeff_poly.get(stripped, dom.zero()), c)
-    coeffs = [RingElement(a.ring, t) for _, t in sorted(by_deg.items())]
     content = a.ring.zero()
-    for cp in coeffs:
+    for _, cp in reversed(_univariate_parts(a, v)):
         content = gcd(content, cp) if not content.is_zero() else cp
         if content.is_unit():
             break
@@ -934,10 +920,6 @@ def _coeff_is_negative(dom, c):
     return c < 0
 
 
-def _format_coeff(dom, c) -> str:
-    return dom.to_str(c)
-
-
 def format_element(a: RingElement) -> str:
     """Render an element in the grammar the parser accepts (round-trips)."""
     if a.is_zero():
@@ -952,9 +934,9 @@ def format_element(a: RingElement) -> str:
             name if k == 1 else f"{name}^{k}"
             for name, k in zip(ring.variables, exp) if k)
         if vars_part:
-            body = vars_part if mag == dom.one() else f"{_format_coeff(dom, mag)}*{vars_part}"
+            body = vars_part if mag == dom.one() else f"{mag!s}*{vars_part}"
         else:
-            body = _format_coeff(dom, mag)
+            body = str(mag)
         if idx == 0:
             pieces.append(f"-{body}" if neg else body)
         else:

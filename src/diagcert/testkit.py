@@ -247,20 +247,13 @@ def _int_invariant_factors(grid):
         pivot = a[t][t]
         dirty = False
         for i in range(t + 1, n):
-            if a[i][t] % pivot:
-                q = a[i][t] // pivot
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                dirty = True
-            elif a[i][t]:
+            if a[i][t]:
+                dirty |= a[i][t] % pivot != 0
                 q = a[i][t] // pivot
                 a[i] = [x - q * y for x, y in zip(a[i], a[t])]
         for j in range(t + 1, c):
-            if a[t][j] % pivot:
-                q = a[t][j] // pivot
-                for row in a:
-                    row[j] -= q * row[t]
-                dirty = True
-            elif a[t][j]:
+            if a[t][j]:
+                dirty |= a[t][j] % pivot != 0
                 q = a[t][j] // pivot
                 for row in a:
                     row[j] -= q * row[t]
@@ -295,15 +288,12 @@ def probe_signature(M: FPModule, probe) -> dict:
 
     if keep is not None:
         keep_idx = ring.var_index(keep)
-        target = RingDescriptor.polynomial(
-            ring.coeffs if not isinstance(ring.coeffs, (IntegerCoeffs, RationalCoeffs))
-            else ("integers" if isinstance(ring.coeffs, IntegerCoeffs) else "rationals"),
-            [keep], "lex")
-        cols = [[_substitute_keep(v.comps[i], mapping, keep_idx, target)
-                 for v in M.relations] for i in range(g)]
         if isinstance(ring.coeffs, IntegerCoeffs):
             # no division algorithm over Z[t]; skip this probe shape
             return {"skipped": True}
+        target = RingDescriptor.polynomial(ring.coeffs, [keep], "lex")
+        cols = [[_substitute_keep(v.comps[i], mapping, keep_idx, target)
+                 for v in M.relations] for i in range(g)]
         if not M.relations:
             return {"factors": [], "free_rank": g}
         from .linalg import smith_normal_form as snf

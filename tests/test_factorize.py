@@ -202,3 +202,67 @@ def test_trial_42_scramble_keeps_a_candidate():
     det = determinant(scrambled)
     assert (ring.parse("y - 1"), 2) in factor(det).factors
     assert _try_obstruction(scrambled, det) is None
+
+
+def test_prime_field_cofactor_keeps_the_first_weights():
+    # over F_p every cofactor is factored through the substitution chosen
+    # for the whole polynomial; with each cofactor's own weights, as over Z
+    # and Q, this input comes back incomplete
+    ring = bivariate(101)
+    r = factor(ring.parse("41*x^4*y^4 + 17*x^3*y^5 + 36*x^2*y^2 + 10*x*y^3"))
+    assert r.complete
+    assert as_strs(r) == sorted([("y", 2), ("x", 1), ("x + 62*y", 1),
+                                 ("x^2*y^2 + 60", 1)])
+
+
+# (coefficients, monomial order, top exponent per variable, sha256 of the
+# joined factor(e).to_json() lines), the digests taken when F_p and Z/Q had
+# separate Kronecker lifts
+PINNED_FACTORIZATIONS = {
+    "F2[x,y]": (2, "grevlex", 3,
+                "35f9fca71bbbcbc27eb66b2b06e1f05e59d4baa456bed0bca1e7c8ea0588eec2"),
+    "F5[x,y]": (5, "grevlex", 2,
+                "96399bb300c0b2d94f4896372711e24504337fd1251afe3c5a0407bee25a996f"),
+    "F7[x,y] lex": (7, "lex", 2,
+                    "5c8bdc7dffd9d959a06fb520efb78aa2a567aa0a7a6b89a19befcf57854ab85f"),
+    "Z[x,y]": ("integers", "grevlex", 1,
+               "f20a71c7ef7f7b229c7fe020cbd02fc8a7861db7523802c2f2a1daafc81e2dfc"),
+    "Q[x,y]": ("rationals", "grevlex", 2,
+               "b756b215e286068b11987605bed4eef63663b7d653aadab968b5dc529a32d756"),
+}
+
+
+def _seeded_products(key, count=14):
+    """`count` seeded products of one to three random polynomials with one
+    to three terms, neither zero nor a unit."""
+    from diagcert.rings import RingDescriptor
+    coeffs, order, top, _ = PINNED_FACTORIZATIONS[key]
+    ring = RingDescriptor.polynomial(coeffs, ["x", "y"], order)
+    rng = random.Random(f"factor digest {key}")
+    out = []
+    while len(out) < count:
+        prod = ring.one()
+        for _ in range(rng.randint(1, 3)):
+            f = ring.zero()
+            for _ in range(rng.randint(1, 3)):
+                exp = (rng.randint(0, top), rng.randint(0, top))
+                den = rng.randint(1, 2) if coeffs == "rationals" else 1
+                f = f + ring.monomial(
+                    exp, ring.coeffs.from_fraction(rng.randint(-3, 3), den))
+            prod = prod * f
+        if not prod.is_zero() and not prod.is_unit():
+            out.append(prod)
+    return out
+
+
+def test_pinned_factorization_bytes():
+    import hashlib
+    import json
+    incomplete = 0
+    for key, (_, _, _, digest) in PINNED_FACTORIZATIONS.items():
+        results = [factor(e) for e in _seeded_products(key)]
+        incomplete += sum(not r.complete for r in results)
+        text = "\n".join(json.dumps(r.to_json(), sort_keys=True)
+                         for r in results)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+    assert incomplete >= 1

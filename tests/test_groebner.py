@@ -162,7 +162,7 @@ def test_reduced_basis_idempotent(qxy, zx):
             S = SubmoduleHandle(ring, 1, gens)
             g1 = groebner_basis(S)
             g2 = groebner_basis(g1)
-            assert g1.groebner_vectors() == g2.groebner_vectors()
+            assert g1.reduced_groebner() == g2.reduced_groebner()
 
 
 def test_integer_module_machinery(zz):
@@ -365,6 +365,31 @@ def test_term_map_reduction_matches_dense(problem):
     if steps > 1:
         with pytest.raises(StepBudgetExceeded):
             _engine_normal_form(ring, basis, vec, Bounds(steps=steps - 1))
+
+
+@applies_bounds
+def _reduced_basis_under(S, bounds=None):
+    return S.reduced_groebner()
+
+
+@pytest.mark.parametrize("coeffs, rows, steps", [
+    # 4 Buchberger steps, then 6 tail-reduction steps
+    ("rationals", [["x + y", "y"], ["y", "1"]], 10),
+    # 14 Buchberger steps, then 9 tail-reduction steps
+    ("integers", [["2*x + y", "x"], ["3*y", "1"]], 23),
+])
+def test_tail_reduction_ticks_the_engine_counter(coeffs, rows, steps):
+    # the last steps of each count are tail-reduction steps, so a limit one
+    # short of the total fails only if they tick the Buchberger loop's budget
+    ring = RingDescriptor.polynomial(coeffs, ["x", "y"], "grevlex")
+
+    def handle():
+        return SubmoduleHandle(ring, 2, [vec(ring, *r) for r in rows])
+
+    expected = handle().reduced_groebner()
+    assert _reduced_basis_under(handle(), Bounds(steps=steps)) == expected
+    with pytest.raises(StepBudgetExceeded):
+        _reduced_basis_under(handle(), Bounds(steps=steps - 1))
 
 
 # -- entry checks and self-checks --------------------------------------------
