@@ -10,8 +10,10 @@ certificate independently verified.
 
 No path: factor the determinant (complete factorizations only), enumerate
 every diagonal candidate up to associates and order, and refute each by a
-Fitting-ideal mismatch.  Exhaustiveness rests on the factorization being
-complete; an incomplete one forces Unknown.
+Fitting-ideal mismatch: between the images of the ideals at an integer
+point where one separates them, else between the ideals over the ring.
+Exhaustiveness rests on the factorization being complete; an incomplete one
+forces Unknown.
 
 Order: the search runs until it first stalls (no improving greedy move), then
 the No path runs once; if it refutes every candidate the verdict is No at
@@ -315,16 +317,29 @@ class _Search:
 
 @dataclass(frozen=True)
 class CandidateRefutation:
+    """A Fitting-ideal mismatch: of the images at point ("evaluation"
+    evidence) or of the ideals over the ring ("groebner" evidence)."""
+
     diagonal: tuple                # canonical entries
     fitting_index: int
-    matrix_ideal: IdealHandle
-    candidate_ideal: IdealHandle
+    evidence: str
+    point: dict = None             # variable name -> integer
+    matrix_image: int = None
+    candidate_image: int = None
+    matrix_ideal: IdealHandle = None
+    candidate_ideal: IdealHandle = None
 
     def to_json(self):
-        return {"diagonal": [str(d) for d in self.diagonal],
-                "fitting_index": self.fitting_index,
-                "matrix_ideal": self.matrix_ideal.to_json(),
-                "candidate_ideal": self.candidate_ideal.to_json()}
+        out = {"diagonal": [str(d) for d in self.diagonal],
+               "evidence": self.evidence,
+               "fitting_index": self.fitting_index}
+        if self.evidence == "evaluation":
+            out.update(point=dict(self.point), matrix_image=self.matrix_image,
+                       candidate_image=self.candidate_image)
+        else:
+            out.update(matrix_ideal=self.matrix_ideal.to_json(),
+                       candidate_ideal=self.candidate_ideal.to_json())
+        return out
 
 
 @dataclass(frozen=True)
@@ -349,14 +364,27 @@ class ObstructionRecord:
         if expected != recorded:
             return False
         matrix_fitting = {}
+        matrix_images = {}
         for r in self.refutations:
             k = r.fitting_index
+            cand_matrix = RingMatrix.diagonal(m.ring, list(r.diagonal))
+            if r.evidence == "evaluation":
+                key = (str(r.point), k)
+                if key not in matrix_images:
+                    matrix_images[key] = verifier.fitting_image(m, r.point, k)
+                images = (matrix_images[key],
+                          verifier.fitting_image(cand_matrix, r.point, k))
+                if None in images or images[0] == images[1] or \
+                        images != (r.matrix_image, r.candidate_image):
+                    return False
+                continue
+            if r.evidence != "groebner":
+                return False
             if k not in matrix_fitting:
                 matrix_fitting[k] = fitting_ideal(m, k)
             if matrix_fitting[k] != r.matrix_ideal:
                 return False
-            cand_matrix = RingMatrix.diagonal(m.ring, list(r.diagonal))
-            if fitting_ideal(cand_matrix, r.fitting_index) != r.candidate_ideal:
+            if fitting_ideal(cand_matrix, k) != r.candidate_ideal:
                 return False
             if not verifier.check_ideal_mismatch(r.matrix_ideal,
                                                  r.candidate_ideal).valid:
@@ -411,24 +439,50 @@ def _diagonal_candidates(ring, factorization: FactorResult, n: int):
 
 
 def _try_obstruction(m: RingMatrix, det: RingElement):
-    """An ObstructionRecord refuting every candidate diagonal, or None."""
+    """An ObstructionRecord refuting every candidate diagonal, or None.
+
+    Fitting ideals commute with base change, so a candidate whose images at
+    an integer point of the probe list differ from the input's is refuted;
+    only one that no point separates is compared over the ring.
+    """
+    from .specialization import default_probes, fitting_images
     factorization = factor(det)
     if not factorization.complete:
         return None
     n = m.nrows
+    probes = default_probes(m.ring)
+    matrix_images = {}    # filled when a candidate first reaches a point
     matrix_fitting = {}   # filled when a candidate first reaches index k
     refutations = []
     for cand in _diagonal_candidates(m.ring, factorization, n):
         cand_matrix = RingMatrix.diagonal(m.ring, list(cand))
         hit = None
-        for k in range(1, n):
-            if k not in matrix_fitting:
-                matrix_fitting[k] = fitting_ideal(m, k)
-            lhs = matrix_fitting[k]
-            rhs = fitting_ideal(cand_matrix, k)
-            if lhs != rhs:
-                hit = CandidateRefutation(cand, k, lhs, rhs)
+        for i, probe in enumerate(probes):
+            if hit is not None:
                 break
+            if probe["mod"] is not None or "keep" in probe:
+                continue   # the full substitutions only
+            point = probe["substitute"]
+            if i not in matrix_images:
+                matrix_images[i] = fitting_images(m.rows, point)
+            lhs = matrix_images[i]
+            rhs = fitting_images(cand_matrix.rows, point)
+            for k in range(1, n):
+                if lhs[k - 1] != rhs[k - 1]:
+                    hit = CandidateRefutation(cand, k, "evaluation", point,
+                                              lhs[k - 1], rhs[k - 1])
+                    break
+        if hit is None:
+            for k in range(1, n):
+                if k not in matrix_fitting:
+                    matrix_fitting[k] = fitting_ideal(m, k)
+                lhs = matrix_fitting[k]
+                rhs = fitting_ideal(cand_matrix, k)
+                if lhs != rhs:
+                    hit = CandidateRefutation(cand, k, "groebner",
+                                              matrix_ideal=lhs,
+                                              candidate_ideal=rhs)
+                    break
         if hit is None:
             return None  # a candidate survives; cannot refute
         refutations.append(hit)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm as int_lcm
 
 from .errors import InternalInvariantError, UsageError
 from .rings import (IntegerCoeffs, PrimeFieldCoeffs, RationalCoeffs,
@@ -261,13 +262,16 @@ def _lagrange_basis(xs):
 def _combo_search(c, xs, div_lists, target):
     from itertools import product as iproduct
     basis = _lagrange_basis(xs)
-    leads = [b[-1] for b in basis]
+    # the lead of a combination is sum(d * l) over the Lagrange leads l;
+    # scaled by the lcm of their denominators, it is tested in integers
+    scale = int_lcm(*(b[-1].denominator for b in basis))
+    leads = [int(b[-1] * scale) for b in basis]
     lc = c[-1]
     for combo in iproduct(*div_lists):
-        lead = sum(d * l for d, l in zip(combo, leads))
-        if lead == 0 or lead.denominator != 1:
+        num = sum(d * l for d, l in zip(combo, leads))
+        if num == 0 or num % scale:
             continue
-        if lc % int(lead) != 0:
+        if lc % (num // scale) != 0:
             continue
         g = [Fraction(0)] * (target + 1)
         for d, b in zip(combo, basis):

@@ -498,9 +498,9 @@ class Obstruction:
             return verifier.check_ideal_mismatch(self.lhs_ideal,
                                                  self.rhs_ideal).valid
         if self.kind == "specialization":
-            from . import testkit
-            lhs = testkit.probe_signature(self.detail["lhs_module"], self.probe)
-            rhs = testkit.probe_signature(self.detail["rhs_module"], self.probe)
+            from .specialization import probe_signature
+            lhs = probe_signature(self.detail["lhs_module"], self.probe)
+            rhs = probe_signature(self.detail["rhs_module"], self.probe)
             return lhs != rhs
         return False
 
@@ -681,8 +681,8 @@ def is_isomorphic(M: FPModule, N: FPModule, bounds: Bounds = None) -> IsoResult:
             raise InternalInvariantError("annihilator obstruction failed re-check")
         return IsoResult("no", obstruction=obst, bounds=bounds)
 
-    from . import testkit
-    probe_hit = testkit.specialization_oracle(M, N)
+    from .specialization import specialization_oracle
+    probe_hit = specialization_oracle(M, N)
     if probe_hit.distinguished:
         obst = Obstruction("specialization",
                            {"lhs_module": M, "rhs_module": N,

@@ -1,16 +1,19 @@
 """Independent certificate verification.
 
-This module is the trust anchor for every Yes verdict, so it deliberately
-shares no code with the construction paths beyond ring arithmetic: matrix
-products and determinants are reimplemented here from scratch (cofactor
-expansion, no Bareiss, no Workbench).  It imports nothing from the package
-at import time.  The dependency runs the other way only: linalg's n <= 3
-self-check of its Bareiss determinant calls _det here.
+This module is the trust anchor for every Yes verdict and for the evaluated
+Fitting ideals behind a No, so it deliberately shares no code with the
+construction paths beyond ring arithmetic: evaluation, matrix products and
+determinants are reimplemented here from scratch (cofactor expansion, no
+Bareiss, no Workbench).  It imports nothing from the package at import time.
+The dependency runs the other way only: linalg's n <= 3 self-check of its
+Bareiss determinant calls _det here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,37 @@ def check_equivalence(left, source, right, target) -> CheckResult:
                     False,
                     f"product entry ({i},{j}) is {prod[i][j]}, target has {d[i][j]}")
     return CheckResult(True)
+
+
+def fitting_image(matrix, point, k):
+    """The image of the k-th Fitting ideal of a square matrix under the
+    evaluation at point (variable name -> integer): over Z coefficients the
+    nonnegative gcd of the evaluated k-minors, over a field 1 if one of them
+    is nonzero, else 0.  None if point misses a variable or k is no size.
+    """
+    ring = matrix.ring
+    n = len(matrix.rows)
+    if sorted(point or ()) != sorted(ring.variables) or not 0 < k <= n:
+        return None
+    a = []
+    for row in matrix.rows:
+        a.append([])
+        for e in row:
+            value = ring.zero()
+            for exp, coeff in e.terms():
+                for name, j in zip(ring.variables, exp):
+                    coeff *= point[name] ** j
+                value = value + ring.from_int(coeff)
+            a[-1].append(value)
+    image = 0
+    for rows in combinations(range(n), k):
+        for cols in combinations(range(n), k):
+            minor = _det(ring, [[a[i][j] for j in cols] for i in rows])
+            image = gcd(image, int(not minor.is_zero()) if ring.coeffs.is_field
+                        else minor.constant_coeff())
+            if image == 1:
+                return 1
+    return image
 
 
 def check_ideal_mismatch(lhs, rhs) -> CheckResult:

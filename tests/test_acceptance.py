@@ -96,11 +96,20 @@ def test_criterion_2_jordan_fixture():
         refuted = {tuple(str(d) for d in r.diagonal): r
                    for r in record.refutations}
         assert set(refuted) == {("1", "x^2"), ("x", "x")}
-        for key, cand_gb in ((("1", "x^2"), ["1"]), (("x", "x"), ["x"])):
+        assert sorted(str(g) for g in fitting_ideal(JORDAN, 1).groebner()) \
+            == ["x", "y"]
+        # (x, y) vanishes at (0, 0) where (1) does not, and not at (0, 1)
+        # where (x) does
+        for key, cand_gb, point, images in (
+                (("1", "x^2"), ["1"], {"x": 0, "y": 0}, (0, 1)),
+                (("x", "x"), ["x"], {"x": 0, "y": 1}, (1, 0))):
             r = refuted[key]
-            assert r.fitting_index == 1
-            assert sorted(str(g) for g in r.matrix_ideal.groebner()) == ["x", "y"]
-            assert [str(g) for g in r.candidate_ideal.groebner()] == cand_gb
+            assert r.fitting_index == 1 and r.evidence == "evaluation"
+            assert (r.point, r.matrix_image, r.candidate_image) == \
+                (point, *images)
+            cand = RingMatrix.diagonal(QXY, list(r.diagonal))
+            assert [str(g) for g in fitting_ideal(cand, 1).groebner()] == \
+                cand_gb
         assert record.verify(JORDAN)
         PRODUCED.append(("obstruction", (record, JORDAN)))
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagcert.bounds import Bounds
 from diagcert.diagonalizer import (analyze, diagonalize,
@@ -24,11 +25,18 @@ def test_jordan_not_diagonalizable(qxy):
     diags = sorted(tuple(str(d) for d in r.diagonal) for r in record.refutations)
     assert diags == [("1", "x^2"), ("x", "x")]
     for r in record.refutations:
-        assert r.fitting_index == 1
-        assert sorted(str(g) for g in r.matrix_ideal.groebner()) == ["x", "y"]
+        assert r.fitting_index == 1 and r.evidence == "evaluation"
+    assert sorted(str(g) for g in fitting_ideal(m, 1).groebner()) == ["x", "y"]
     by_diag = {tuple(str(d) for d in r.diagonal): r for r in record.refutations}
-    assert [str(g) for g in by_diag[("1", "x^2")].candidate_ideal.groebner()] == ["1"]
-    assert [str(g) for g in by_diag[("x", "x")].candidate_ideal.groebner()] == ["x"]
+    # (x, y) vanishes at (0, 0) where (1) does not, and not at (0, 1) where
+    # (x) does
+    for diag, point, images in ((("1", "x^2"), {"x": 0, "y": 0}, (0, 1)),
+                                (("x", "x"), {"x": 0, "y": 1}, (1, 0))):
+        r = by_diag[diag]
+        assert (r.point, r.matrix_image, r.candidate_image) == (point, *images)
+    for diag, gb in ((("1", "x^2"), ["1"]), (("x", "x"), ["x"])):
+        cand = RingMatrix.diagonal(qxy, [qxy.parse(d) for d in diag])
+        assert [str(g) for g in fitting_ideal(cand, 1).groebner()] == gb
     assert record.verify(m)
 
 
@@ -210,21 +218,16 @@ def _fixture_matrix(fixtures_dir, name):
     return matrix_from_json(load_document(str(fixtures_dir / name)))[0]
 
 
-def _ideal(gens):
-    return {"generators": gens, "groebner": gens}
-
-
 JORDAN_NO = {
     "method": "fitting-obstruction",
     "obstruction": {
         "candidates_refuted": [
-            {"candidate_ideal": {"generators": ["1", "x^2"],
-                                 "groebner": ["1"]},
-             "diagonal": ["1", "x^2"], "fitting_index": 1,
-             "matrix_ideal": _ideal(["y", "x"])},
-            {"candidate_ideal": _ideal(["x"]),
-             "diagonal": ["x", "x"], "fitting_index": 1,
-             "matrix_ideal": _ideal(["y", "x"])}],
+            {"candidate_image": 1, "diagonal": ["1", "x^2"],
+             "evidence": "evaluation", "fitting_index": 1, "matrix_image": 0,
+             "point": {"x": 0, "y": 0}},
+            {"candidate_image": 0, "diagonal": ["x", "x"],
+             "evidence": "evaluation", "fitting_index": 1, "matrix_image": 1,
+             "point": {"x": 0, "y": 1}}],
         "determinant_factorization": {"complete": True,
                                       "factors": [["x", 2]], "unit": "1"}},
     "verdict": "no"}
@@ -404,7 +407,7 @@ SCRAMBLE_CORES = {
 }
 
 
-def scrambled_core(key, n):
+def scrambled_core(key, n, seed=7):
     from diagcert.rings import RingDescriptor
     from diagcert.testkit import random_recipe, scramble
     ring = RingDescriptor.polynomial(*SCRAMBLE_RINGS[key])
@@ -415,44 +418,117 @@ def scrambled_core(key, n):
             rows[i][j] = ring.parse(core[i][j])
     if n == 3:
         rows[2][2] = ring.parse(extra)
-    m, _ = scramble(RingMatrix(ring, rows), random_recipe(ring, n, n + 1, 7))
+    m, _ = scramble(RingMatrix(ring, rows),
+                    random_recipe(ring, n, n + 1, seed))
     return m
+
+
+def fallback_matrix(key):
+    """[[x, y], [0, y^2]]: F_1 = (x, y) and the candidate diag(x, y^2) has
+    F_1 = (x, y^2), with the same zero set and, at every point of
+    {0, 1, -1}^2, the same gcd, so no evaluation point separates them."""
+    from diagcert.rings import RingDescriptor
+    ring = RingDescriptor.polynomial(*SCRAMBLE_RINGS[key])
+    return RingMatrix.parse(ring, [["x", "y"], ["0", "y^2"]])
+
+
+def _swap(record, old, new):
+    from dataclasses import replace
+    return replace(record, refutations=tuple(new if r is old else r
+                                             for r in record.refutations))
 
 
 def test_obstruction_verify_rejects_tampering():
     from dataclasses import replace
+    from diagcert.verifier import fitting_image
     m = scrambled_core("Z[x]", 3)
     record = diagonalize(m).obstruction
     assert record.verify(m)
     refs = record.refutations
+    assert {r.evidence for r in refs} == {"evaluation"}
     fac = record.det_factorization
-    # two refutations at one index whose candidate ideals differ
-    a, b = next((a, b) for a in refs for b in refs
-                if a.fitting_index == b.fitting_index
-                and a.candidate_ideal != b.candidate_ideal)
-    # an index where the matrix ideal differs from the recorded one
-    wrong_k = next(k for k in range(3) if k != refs[0].fitting_index
-                   and fitting_ideal(m, k) != refs[0].matrix_ideal)
+    r0 = refs[0]
+    cand = RingMatrix.diagonal(m.ring, list(r0.diagonal))
+    recorded = (r0.matrix_image, r0.candidate_image)
+
+    def recomputed(point, k):
+        return fitting_image(m, point, k), fitting_image(cand, point, k)
+
+    # a point and an index at which the recorded images do not come back
+    wrong_point = next(p for p in ({"x": v} for v in (1, -1, 2, 3))
+                       if recomputed(p, r0.fitting_index) != recorded)
+    wrong_k = next(k for k in range(4) if k != r0.fitting_index
+                   and recomputed(r0.point, k) != recorded)
     other_fac = diagonalize(scrambled_core("Z[x]", 2)).obstruction \
         .det_factorization
     assert other_fac.expand() != fac.expand()
+    # the Groebner cases run on the refutation of the fallback matrix
+    fm = fallback_matrix("Q[x,y]")
+    fallback = diagonalize(fm).obstruction
+    assert fallback.verify(fm)
+    g = next(r for r in fallback.refutations if r.evidence == "groebner")
+    # another candidate's ideal at the same index
+    other_ideal = next(
+        ideal for ideal in (
+            fitting_ideal(RingMatrix.diagonal(fm.ring, list(r.diagonal)),
+                          g.fitting_index) for r in fallback.refutations)
+        if ideal != g.candidate_ideal)
+    # an index where the matrix ideal differs from the recorded one
+    wrong_gk = next(k for k in range(3) if k != g.fitting_index
+                    and fitting_ideal(fm, k) != g.matrix_ideal)
     tampered = {
-        "dropped refutation": replace(record, refutations=refs[1:]),
-        "swapped candidate ideal": replace(record, refutations=tuple(
-            replace(r, candidate_ideal=b.candidate_ideal) if r is a else r
-            for r in refs)),
-        "wrong fitting index": replace(record, refutations=(
-            replace(refs[0], fitting_index=wrong_k),) + refs[1:]),
-        "incomplete factorization": replace(
-            record, det_factorization=replace(fac, complete=False)),
-        "another matrix's determinant": replace(
-            record, det_factorization=other_fac),
+        "dropped refutation": (replace(record, refutations=refs[1:]), m),
+        "wrong point": (_swap(record, r0, replace(r0, point=wrong_point)), m),
+        "point missing a variable": (_swap(record, r0, replace(r0, point={})),
+                                     m),
+        "wrong matrix image": (_swap(record, r0, replace(
+            r0, matrix_image=r0.matrix_image + 1)), m),
+        "wrong candidate image": (_swap(record, r0, replace(
+            r0, candidate_image=r0.candidate_image + 1)), m),
+        "wrong evaluation index": (_swap(record, r0, replace(
+            r0, fitting_index=wrong_k)), m),
+        "Groebner refutation relabelled as evaluation": (_swap(
+            fallback, g, replace(g, evidence="evaluation")), fm),
+        "swapped candidate ideal": (_swap(fallback, g, replace(
+            g, candidate_ideal=other_ideal)), fm),
+        "wrong fitting index": (_swap(fallback, g, replace(
+            g, fitting_index=wrong_gk)), fm),
+        "incomplete factorization": (replace(
+            record, det_factorization=replace(fac, complete=False)), m),
+        "another matrix's determinant": (replace(
+            record, det_factorization=other_fac), m),
         # the same candidates, so only the expansion can tell
-        "the negated determinant": replace(
-            record, det_factorization=replace(fac, unit=-fac.unit)),
+        "the negated determinant": (replace(
+            record, det_factorization=replace(fac, unit=-fac.unit)), m),
     }
-    for what, bad in tampered.items():
-        assert not bad.verify(m), what
+    for what, (bad, source) in tampered.items():
+        assert not bad.verify(source), what
+
+
+@pytest.mark.parametrize("key", ["Q[x,y]", "F5[x,y]", "Z[x,y]"])
+def test_groebner_fallback_where_no_point_separates(key):
+    from itertools import product
+    from diagcert.specialization import fitting_images
+    m = fallback_matrix(key)
+    result = diagonalize(m)
+    assert result.verdict == "no" and result.method == "fitting-obstruction"
+    record = result.obstruction
+    by_diag = {tuple(str(d) for d in r.diagonal): r for r in record.refutations}
+    assert {diag: r.evidence for diag, r in by_diag.items()} == {
+        ("1", "x*y^2"): "evaluation", ("y", "x*y"): "evaluation",
+        ("x", "y^2"): "groebner"}
+    g = by_diag[("x", "y^2")]
+    assert g.fitting_index == 1
+    assert sorted(str(e) for e in g.matrix_ideal.groebner()) == ["x", "y"]
+    assert sorted(str(e) for e in g.candidate_ideal.groebner()) == ["x", "y^2"]
+    cand = RingMatrix.diagonal(m.ring, list(g.diagonal))
+    for x, y in product((0, 1, -1), repeat=2):
+        point = {"x": x, "y": y}
+        assert fitting_images(m.rows, point) == fitting_images(cand.rows, point)
+    assert record.verify(m)
+    text = dumps(result.to_json())
+    assert '"evidence": "groebner"' in text and '"matrix_ideal"' in text
+    assert '"evidence": "evaluation"' in text and '"point"' in text
 
 
 def test_analyze_factors_the_determinant_once(fixtures_dir, monkeypatch):
@@ -472,28 +548,28 @@ def test_analyze_factors_the_determinant_once(fixtures_dir, monkeypatch):
     assert len(calls) == 1
 
 
-# sha256 of dumps(diagonalize(m).to_json()), taken while every candidate was
-# multiplied out per exponent distribution and every Fitting ideal came from
-# all minors by Bareiss
+# sha256 of dumps(diagonalize(m).to_json()), taken when each candidate was
+# first evaluated at the points of {0, 1, -1}^n in the probe order; only
+# ("Z[x,y]", 3) has a candidate no point separates, refuted over the ring
 NO_PATH_DIGESTS = {
     ("jordan_block", 2):
-        "b2b906709e8592dfa277602dad07e9a2be9808844f41a7e4dfcb0cbe45b26b8c",
+        "b94bf3540d3f6a78dceb6d64394e5b4192f59effa95e559a0f89a873c6f22bd7",
     ("Q[x,y]", 2):
-        "4f155166fa393725d29ce0fe1ccf5266eecd0954a5b7487772ae867e78cf0e5d",
+        "e17fc9a228a176be263fe443dcc4c92668405858ad520d6d86d9d97ad2f89ed8",
     ("Q[x,y]", 3):
-        "7c1c04889a7add0301c5912c3827dfd43000f02c9788bbf7305cfab548b877e4",
+        "3746e9e97bb36b6636eb7d155c934bd21663f84ca8c87ca7714d70e5c1b8077c",
     ("Z[x,y]", 2):
-        "e3c8aef5c21bf97de962ee8d86756eb427e99aaf060e68f5c9fb64b5b36e5c99",
+        "e17fc9a228a176be263fe443dcc4c92668405858ad520d6d86d9d97ad2f89ed8",
     ("Z[x,y]", 3):
-        "9db187b60cc8197fa134b8f6ea3c42bf70c75bd7111516ce418abb83807060d8",
+        "d7e43088fc4224f24c2c840cb5371beb60140d52adbebe83441f28a970b7d10f",
     ("F5[x,y]", 2):
-        "e00ddda754809180b9230b25f95ce0755f2bc39aa32b81dc379b8c7867a2d833",
+        "57ef013a0a34b81c1b7362663b6b75d62b445db4e9ef03284b1a29a1841fe0c0",
     ("F5[x,y]", 3):
-        "ccbd14e649aecd6ace4a62bcf48804fabb3f48e2062d93ca1c43e97a315bca40",
+        "81bd19847a698aad6edd5742ee7e77709ad6ad6e4e038e97e9e7df6b905239ff",
     ("Z[x]", 2):
-        "9b2dd0ab91645745ed9a97b4ececc90fd93d35de80c9ddebc77a7ae95c372986",
+        "feaf1d13e520509770c48e2ae0150679642f82b33b0bc283893d9f8fc3aecf25",
     ("Z[x]", 3):
-        "f99f9ae16f737c2fd3edd636bfeab4438d2802576b2076f3767dc499e97202db",
+        "3ca36c1f8bdffc609ed4bb1e42bfed16c250047518c7ef0d4d751f738cfd2620",
 }
 
 
@@ -508,3 +584,79 @@ def test_no_path_bytes_pinned(fixtures_dir, key, n):
     assert result.verdict == "no"
     text = dumps(result.to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == NO_PATH_DIGESTS[key, n]
+
+
+# ---------------------------------------------------------------------------
+# property: scrambles with a known answer, over all four ring kinds
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None)
+
+# per ring: the entries a scrambled diagonal is drawn from
+DIAGONAL_ENTRIES = {
+    "Q[x,y]": ("x", "y", "x + y", "x*y"),
+    "Z[x,y]": ("2", "x", "y", "x*y"),
+    "F5[x,y]": ("x", "y + 1", "x + y", "x*y"),
+    "Z[x]": ("2", "x", "x + 1", "2*x"),
+}
+
+
+def scrambled_diagonal(key, n, seed):
+    import random
+    from diagcert.rings import RingDescriptor
+    from diagcert.testkit import random_recipe, scramble
+    ring = RingDescriptor.polynomial(*SCRAMBLE_RINGS[key])
+    rng = random.Random(seed)
+    entries = [ring.parse(rng.choice(DIAGONAL_ENTRIES[key])) for _ in range(n)]
+    m, _ = scramble(RingMatrix.diagonal(ring, entries),
+                    random_recipe(ring, n, n + 1, seed))
+    return m
+
+
+def _evaluated_image(ideal, point):
+    """The image of an ideal at an integer point, from its generators: the
+    gcd of their values over Z coefficients, else whether one is nonzero."""
+    from functools import reduce
+    from math import gcd
+    ring = ideal.ring
+    values = [point[v] for v in ring.variables]
+    evaluated = []
+    for g in ideal.generators:
+        total = 0
+        for exp, c in g.terms():
+            for v, k in zip(values, exp):
+                c = c * v ** k
+            total += c
+        evaluated.append(total % ring.coeffs.p if hasattr(ring.coeffs, "p")
+                         else total)
+    if ring.coeffs.is_field:
+        return int(any(e != 0 for e in evaluated))
+    return reduce(gcd, evaluated, 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(sorted(SCRAMBLE_RINGS)), st.sampled_from([2, 3]),
+       st.integers(0, 10**6))
+def test_scrambled_cores_never_get_yes(key, n, seed):
+    m = scrambled_core(key, n, seed)
+    result = diagonalize(m)
+    assert result.verdict != "yes"
+    if result.verdict == "no":
+        record = result.obstruction
+        assert record.verify(m)
+        for r in record.refutations:
+            if r.evidence != "evaluation":
+                continue
+            k = r.fitting_index
+            cand = RingMatrix.diagonal(m.ring, list(r.diagonal))
+            assert _evaluated_image(fitting_ideal(m, k), r.point) == \
+                r.matrix_image
+            assert _evaluated_image(fitting_ideal(cand, k), r.point) == \
+                r.candidate_image
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(sorted(SCRAMBLE_RINGS)), st.sampled_from([2, 3]),
+       st.integers(0, 10**6))
+def test_scrambled_diagonals_never_get_no(key, n, seed):
+    assert diagonalize(scrambled_diagonal(key, n, seed)).verdict != "no"

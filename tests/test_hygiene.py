@@ -14,6 +14,9 @@ No dataclass field is dead: each field of a dataclass in the package is read
 somewhere in the package, the tests or the benchmark.  An attribute load or
 a string that is exactly the field name counts as a read; like the check
 above it goes by name.
+
+No module of the package imports `testkit`: the test oracles and generators
+never back a verdict.
 """
 
 import ast
@@ -135,3 +138,22 @@ def test_no_dead_fields():
             for cls, stmt in _dataclass_fields(trees[path])
             if stmt.target.id not in reads]
     assert not dead, f"dataclass fields read nowhere: {dead}"
+
+
+def _imports_testkit(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "testkit" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "testkit" or \
+                    any(a.name == "testkit" for a in node.names):
+                return True
+    return False
+
+
+def test_no_module_imports_testkit():
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "testkit.py" and
+                 _imports_testkit(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not importers, f"modules importing testkit: {importers}"
