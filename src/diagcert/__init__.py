@@ -31,7 +31,6 @@ from .filtration import (AnnihilatorSample, CyclicFiltration,
                          sample_lattice, search_minimal_cyclic_filtration,
                          verify_filtration)
 from .diagonalizer import (DiagnosisReport, DiagonalizeResult,
-                           ObstructionRecord, analyze, diagonalize,
-                           transpose_certificate_from_diagonal)
+                           ObstructionRecord, analyze, diagonalize)
 
 __version__ = "0.1.0"

@@ -8,37 +8,25 @@ work is also reached through ideal comparison operators, which cannot take a
 parameter.  Each public entry point that takes `bounds` and can reach the
 Groebner engine is wrapped in `applies_bounds`, which puts `bounds.steps` in a
 context variable for the duration of the call.  Outside any such call the
-limit is `DIAGCERT_BUDGET` or DEFAULT_STEPS.
+limit is DEFAULT_STEPS.  Nothing else sets a limit: a run depends only on its
+arguments.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import os
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 DEFAULT_STEPS = 1_000_000
 
-_steps = ContextVar("diagcert_steps", default=None)
-
-
-def _env_steps() -> int:
-    raw = os.environ.get("DIAGCERT_BUDGET")
-    if raw is None:
-        return DEFAULT_STEPS
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_STEPS
-    return value if value > 0 else DEFAULT_STEPS
+_steps = ContextVar("diagcert_steps", default=DEFAULT_STEPS)
 
 
 def current_steps() -> int:
     """Step limit for one Groebner computation started now."""
-    steps = _steps.get()
-    return _env_steps() if steps is None else steps
+    return _steps.get()
 
 
 def applies_bounds(fn):
@@ -68,16 +56,15 @@ class Bounds:
 
     degree/height bound the coefficient pool used by element enumeration
     (monomial total degree <= degree, integer coefficients with |c| <= height).
-    steps caps the reduction steps of each Groebner computation; its default
-    is `DIAGCERT_BUDGET` or DEFAULT_STEPS, read when the Bounds is made.
-    search_nodes caps the elementary operation search; iso_candidates caps the
-    isomorphism candidate sweep; sample_elements caps annihilator-lattice
-    sampling.
+    steps caps the reduction steps of each Groebner computation.
+    search_nodes is the number of nodes the elementary operation search may
+    spend; iso_candidates caps the isomorphism candidate sweep;
+    sample_elements caps annihilator-lattice sampling.
     """
 
     degree: int = 2
     height: int = 3
-    steps: int = field(default_factory=_env_steps)
+    steps: int = DEFAULT_STEPS
     search_nodes: int = 20_000
     iso_candidates: int = 4_000
     sample_elements: int = 500

@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .bounds import Bounds
+from .bounds import DEFAULT_STEPS, Bounds
 from .diagonalizer import analyze, diagonalize
 from .errors import (DiagcertError, InternalInvariantError,
                      StepBudgetExceeded, UsageError)
@@ -37,7 +37,7 @@ class CommandRequest:
 
 def _bounds_from_args(args) -> Bounds:
     return Bounds(degree=args.degree, height=args.height,
-                  steps=args.steps or Bounds().steps, seed=args.seed)
+                  steps=args.steps, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="degree bound for coefficient pools (default 2)")
         p.add_argument("--height", type=int, default=3,
                        help="height bound for coefficient pools (default 3)")
-        p.add_argument("--steps", type=int, default=0,
+        p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                        help="reduction steps allowed to each Groebner "
-                            "computation (default: DIAGCERT_BUDGET or 1000000)")
+                            f"computation (default {DEFAULT_STEPS})")
         p.add_argument("--seed", type=int, default=0,
                        help="seed echoed into reports (default 0)")
     return parser

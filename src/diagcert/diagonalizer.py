@@ -149,21 +149,19 @@ def _state_key(rows):
 class _Search:
     """Bounded elementary-operation search on one matrix."""
 
-    def __init__(self, m: RingMatrix, bounds: Bounds, node_budget: int,
-                 on_stall=None):
+    def __init__(self, m: RingMatrix, bounds: Bounds, on_stall=None):
         from .homalg import element_pool
         self.ring = m.ring
         self.n = m.nrows
-        self.bounds = bounds
-        self.budget = node_budget
+        self.budget = bounds.search_nodes
         self.pool = element_pool(m.ring, bounds)
         self.ops = []
         self.rows = [list(r) for r in m.rows]
         self.frozen = 0      # rows/cols below this index are finished
         self.on_stall = on_stall  # called once at the first plateau; True stops
 
-    def _spend(self, k=1) -> bool:
-        self.budget -= k
+    def _spend(self) -> bool:
+        self.budget -= 1
         return self.budget >= 0
 
     def _do(self, op):
@@ -574,8 +572,7 @@ def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
             refuted.append(exc)
         return isinstance(refuted[0], ObstructionRecord)
 
-    yes_budget = int(bounds.search_nodes * 0.7)
-    search = _Search(m, bounds, yes_budget, on_stall=refute)
+    search = _Search(m, bounds, on_stall=refute)
     ops = search.run()
     if ops is not None:
         bench = Workbench(m)
@@ -595,11 +592,6 @@ def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
         return DiagonalizeResult("no", obstruction=record, bounds=bounds,
                                  method="fitting-obstruction")
     return DiagonalizeResult("unknown", bounds=bounds, method="exhausted")
-
-
-def transpose_certificate_from_diagonal(cert: EquivalenceCertificate) -> EquivalenceCertificate:
-    """Turn a verified diagonalization into a verified certificate m ~ m^T."""
-    return transpose_equivalence_from_diagonal(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +676,7 @@ def analyze(m: RingMatrix, bounds: Bounds = None, claims: dict = None) -> Diagno
                                                          bounds)
 
     if diag.verdict == "yes":
-        cert_t = transpose_certificate_from_diagonal(diag.certificate)
+        cert_t = transpose_equivalence_from_diagonal(diag.certificate)
         report.consistency.append(
             {"check": "diagonal_implies_transpose_equivalence",
              "status": "ok",

@@ -25,7 +25,7 @@ from .groebner import FreeVector
 from .homalg import (FPModule, element_annihilator, element_pool,
                      quotient_presentation)
 from .linalg import RingMatrix
-from .rings import IdealHandle, RingDescriptor, RingElement
+from .rings import IdealHandle, RingDescriptor, RingElement, divides
 
 SEARCH_DEPTH_LIMIT = 12
 
@@ -266,10 +266,6 @@ def filtration_from_decomposition(lambdas) -> DecompositionFiltration:
     dropped = tuple(lam for lam in lambdas if lam.is_unit())
     remaining = [i for i, lam in enumerate(lambdas) if not lam.is_unit()]
 
-    def _divides(a, b):
-        from .rings import exact_divide
-        return exact_divide(b, a) is not None
-
     peel = []
     pool = list(remaining)
     while pool:
@@ -278,8 +274,8 @@ def filtration_from_decomposition(lambdas) -> DecompositionFiltration:
             # (lambda_j) is minimal when no other remaining ideal sits
             # strictly inside it
             strictly_inside = any(
-                i != j and _divides(lambdas[j], lambdas[i])
-                and not _divides(lambdas[i], lambdas[j])
+                i != j and divides(lambdas[j], lambdas[i])
+                and not divides(lambdas[i], lambdas[j])
                 for i in pool)
             if not strictly_inside:
                 minimal.append(j)

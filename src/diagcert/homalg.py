@@ -645,6 +645,32 @@ def _iso_candidates(generators, ring, bounds: Bounds):
                                              generators[t2].matrix)]
 
 
+def _obstructions(M: FPModule, N: FPModule):
+    """Each invariant that tells M and N apart: the Fitting ideals by index,
+    the annihilator, then the specialization probes.  An invariant is
+    computed only when every earlier one agreed."""
+    # Fitting ideals are isomorphism invariants of the module
+    for j in range(max(M.gens, N.gens) + 1):
+        lhs = module_fitting_ideal(M, j)
+        rhs = module_fitting_ideal(N, j)
+        if lhs != rhs:
+            yield Obstruction("fitting", {"index": j}, lhs, rhs)
+
+    lhs_ann = annihilator(M)
+    rhs_ann = annihilator(N)
+    if lhs_ann != rhs_ann:
+        yield Obstruction("annihilator", {}, lhs_ann, rhs_ann)
+
+    from .specialization import specialization_oracle
+    probe_hit = specialization_oracle(M, N)
+    if probe_hit.distinguished:
+        yield Obstruction("specialization",
+                          {"lhs_module": M, "rhs_module": N,
+                           "lhs_signature": probe_hit.lhs_signature,
+                           "rhs_signature": probe_hit.rhs_signature},
+                          probe=probe_hit.probe)
+
+
 @applies_bounds
 def is_isomorphic(M: FPModule, N: FPModule, bounds: Bounds = None) -> IsoResult:
     """Certified isomorphism test; see the module docstring for the contract."""
@@ -663,34 +689,9 @@ def is_isomorphic(M: FPModule, N: FPModule, bounds: Bounds = None) -> IsoResult:
         psi = ModuleHom(N, M, [[ring.zero()] * N.gens for _ in range(M.gens)])
         return IsoResult("yes", phi, psi)
 
-    # Fitting ideals are isomorphism invariants of the module
-    for j in range(max(M.gens, N.gens) + 1):
-        lhs = module_fitting_ideal(M, j)
-        rhs = module_fitting_ideal(N, j)
-        if lhs != rhs:
-            obst = Obstruction("fitting", {"index": j}, lhs, rhs)
-            if not obst.verify():
-                raise InternalInvariantError("fitting obstruction failed re-check")
-            return IsoResult("no", obstruction=obst, bounds=bounds)
-
-    lhs_ann = annihilator(M)
-    rhs_ann = annihilator(N)
-    if lhs_ann != rhs_ann:
-        obst = Obstruction("annihilator", {}, lhs_ann, rhs_ann)
+    for obst in _obstructions(M, N):
         if not obst.verify():
-            raise InternalInvariantError("annihilator obstruction failed re-check")
-        return IsoResult("no", obstruction=obst, bounds=bounds)
-
-    from .specialization import specialization_oracle
-    probe_hit = specialization_oracle(M, N)
-    if probe_hit.distinguished:
-        obst = Obstruction("specialization",
-                           {"lhs_module": M, "rhs_module": N,
-                            "lhs_signature": probe_hit.lhs_signature,
-                            "rhs_signature": probe_hit.rhs_signature},
-                           probe=probe_hit.probe)
-        if not obst.verify():
-            raise InternalInvariantError("specialization obstruction failed re-check")
+            raise InternalInvariantError(f"{obst.kind} obstruction failed re-check")
         return IsoResult("no", obstruction=obst, bounds=bounds)
 
     generators = hom_module(M, N, bounds)
@@ -797,11 +798,7 @@ def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
         return QGResult("yes", matrix_certificate=cert, iso=iso,
                         grade_value=1, bounds=bounds)
 
-    if m == mt:
-        ident = RingMatrix.identity(ring, m.nrows)
-        cert = EquivalenceCertificate(source=m, left=ident, right=ident, target=mt)
-        return _yes(cert=cert)
-
+    # the sweep starts at (identity, identity), which witnesses a symmetric m
     n = m.nrows
     if n <= 3:
         candidates = list(_signed_permutation_matrices(ring, n))

@@ -2,8 +2,8 @@
 
 Nothing here shares algorithms with the code it checks: the invariant-factor
 oracle enumerates minors over plain Python integers.  The specialization
-probes live in `specialization`, where the isomorphism test and the
-refutation of diagonal candidates use them; they are re-exported here.
+probes are not here: they live in `specialization`, where the isomorphism
+test and the refutation of diagonal candidates use them.
 """
 
 from __future__ import annotations
@@ -19,18 +19,6 @@ from .homalg import element_pool
 from .linalg import (ColAdd, ColSwap, RingMatrix, RowAdd, RowSwap,
                      Workbench, op_from_json)
 from .rings import RingDescriptor
-
-_PROBE_NAMES = ("SpecializationOutcome", "default_probes",
-                "probe_signature", "specialization_oracle")
-
-
-def __getattr__(name):
-    """The probes of `specialization`, loaded on first use like everywhere
-    else in the package, so that importing testkit does not load them."""
-    if name in _PROBE_NAMES:
-        from . import specialization
-        return getattr(specialization, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

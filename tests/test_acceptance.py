@@ -10,21 +10,20 @@ import random
 import time
 from contextlib import contextmanager
 
-from diagcert.diagonalizer import (analyze, diagonalize,
-                                   transpose_certificate_from_diagonal)
+from diagcert.diagonalizer import analyze, diagonalize
 from diagcert.filtration import (filtration_from_decomposition,
                                  search_minimal_cyclic_filtration)
 from diagcert.groebner import FreeVector
 from diagcert.homalg import (FPModule, annihilator, ext, grade,
                              hom_dual_sequence, hom_module, is_isomorphic,
                              is_quasi_gorenstein, quotient_presentation,
-                             split_test)
+                             split_test, transpose_equivalence_from_diagonal)
 from diagcert.jsonio import certificate_from_json, load_document
 from diagcert.linalg import RingMatrix, fitting_ideal, smith_normal_form, \
     verify_certificate
 from diagcert.rings import IdealHandle, RingDescriptor, ZZ
-from diagcert.testkit import (minors_gcd_snf_oracle, random_recipe, scramble,
-                              specialization_oracle)
+from diagcert.specialization import specialization_oracle
+from diagcert.testkit import minors_gcd_snf_oracle, random_recipe, scramble
 
 QXY = RingDescriptor.polynomial("rationals", ["x", "y"], "grevlex")
 ZX = RingDescriptor.polynomial("integers", ["x"], "lex")
@@ -190,7 +189,7 @@ def test_criterion_4_scramble_roundtrip():
             for k in range(1, n + 1):
                 assert fitting_ideal(result.certificate.target, k) == \
                     fitting_ideal(seed_diag, k), f"trial {trial} k={k}"
-            cert_t = transpose_certificate_from_diagonal(result.certificate)
+            cert_t = transpose_equivalence_from_diagonal(result.certificate)
             assert verify_certificate(cert_t).valid
             PRODUCED.append(("certificate", cert_t))
             filtration_from_decomposition(result.diagonal_entries())

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from diagcert import verifier
-from diagcert.bounds import Bounds
+from diagcert import groebner, verifier
+from diagcert.bounds import DEFAULT_STEPS, Bounds, current_steps
 from diagcert.cli import main, request_from_argv
 from diagcert.diagonalizer import analyze, diagonalize
 from diagcert.errors import StepBudgetExceeded
@@ -86,11 +87,27 @@ def test_filtration_exit_codes(capsys, fixtures_dir):
     assert code == 4
 
 
-def test_qg_subcommand(capsys, fixtures_dir):
+# a symmetric 4 x 4 input goes down the unsigned permutation sweep; sha256
+# of its --json bytes, taken while symmetric inputs had their own branch
+SYMMETRIC_4X4_QG_SHA256 = \
+    "b63fcadff773ca2a67393fadb881c3c095b59246215d875c29a003411f8d32cc"
+
+
+def test_qg_subcommand(tmp_path, capsys, fixtures_dir):
     code, out, _ = invoke(capsys, "qg", "--input",
                           str(fixtures_dir / "jordan_block.json"), "--json")
     assert code == 0
     assert json.loads(out)["quasi_gorenstein"]["verdict"] == "yes"
+    doc = {"schema": "diagcert/1",
+           "ring": {"kind": "polynomial", "coefficients": "rationals",
+                    "variables": ["x", "y"], "order": "grevlex"},
+           "matrix": [["x", "y", "0", "0"], ["y", "x", "0", "0"],
+                      ["0", "0", "x", "1"], ["0", "0", "1", "y"]]}
+    path = tmp_path / "symmetric.json"
+    path.write_text(dumps(doc))
+    code, out, _ = invoke(capsys, "qg", "--input", str(path), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRIC_4X4_QG_SHA256
 
 
 def test_diagonalize_subcommand(capsys, fixtures_dir):
@@ -138,14 +155,12 @@ def test_missing_file(capsys):
     assert code == 1 and "not found" in err
 
 
-def test_budget_env_override(tmp_path, capsys, fixtures_dir, monkeypatch):
+def test_budget_env_is_ignored(capsys, fixtures_dir, monkeypatch):
+    # the step limit comes from --steps alone; the environment sets none
     monkeypatch.setenv("DIAGCERT_BUDGET", "5")
-    # a tiny groebner budget makes the first reduction abort with a
-    # resource error, surfaced as exit code 4 rather than a hang
-    code, _, err = invoke(capsys, "filtration", "--input",
-                          str(fixtures_dir / "jordan_block.json"))
-    assert code == 4
-    assert "budget" in err.lower()
+    code, _, _ = invoke(capsys, "analyze", "--input",
+                        str(fixtures_dir / "jordan_block.json"))
+    assert code == 0
 
 
 def test_certificate_json_roundtrip(fixtures_dir):
@@ -168,7 +183,8 @@ def test_request_parsing():
     assert req.as_json
 
 
-@pytest.mark.parametrize("flag", [("--degree", "0"), ("--steps", "-3")])
+@pytest.mark.parametrize("flag", [("--degree", "0"), ("--steps", "-3"),
+                                  ("--steps", "0")])
 def test_bad_bounds_are_usage_errors(capsys, fixtures_dir, flag):
     code, _, err = invoke(capsys, "snf", "--input",
                           str(fixtures_dir / "z4.json"), *flag)
@@ -221,14 +237,20 @@ def test_library_applies_step_bound(fixtures_dir, name, expected):
 
 @pytest.mark.parametrize("name", ["sample_lattice", "search"])
 def test_one_default_for_steps(fixtures_dir, monkeypatch, name):
-    # Bounds() and bounds=None read the same DIAGCERT_BUDGET default
+    # Bounds() and bounds=None both run on DEFAULT_STEPS, whatever the
+    # environment says
     monkeypatch.setenv("DIAGCERT_BUDGET", "5")
-    call, _ = _jordan_calls(fixtures_dir)[name]
-    assert Bounds().steps == 5
-    with pytest.raises(StepBudgetExceeded):
-        call(Bounds())
-    with pytest.raises(StepBudgetExceeded):
-        call(None)
+    seen = []
+
+    def spy():
+        seen.append(current_steps())
+        return seen[-1]
+
+    monkeypatch.setattr(groebner, "current_steps", spy)
+    call, verdict = _jordan_calls(fixtures_dir)[name]
+    assert Bounds().steps == DEFAULT_STEPS
+    assert verdict(call(Bounds())) == verdict(call(None))
+    assert seen and set(seen) == {DEFAULT_STEPS}
 
 
 def test_step_bound_caps_each_computation(fixtures_dir):

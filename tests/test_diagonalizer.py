@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagcert.bounds import Bounds
-from diagcert.diagonalizer import (analyze, diagonalize,
-                                   transpose_certificate_from_diagonal)
+from diagcert.diagonalizer import analyze, diagonalize
 from diagcert.errors import FullRankRequiredError, StepBudgetExceeded
+from diagcert.homalg import transpose_equivalence_from_diagonal
 from diagcert.jsonio import dumps
 from diagcert.linalg import RingMatrix, fitting_ideal, verify_certificate
 
@@ -47,7 +47,7 @@ def test_triangular_int_diagonalizes(zx):
     assert verify_certificate(result.certificate).valid
     diag = sorted(str(d) for d in result.diagonal_entries())
     assert diag in (["2", "3"], ["1", "6"])
-    cert_t = transpose_certificate_from_diagonal(result.certificate)
+    cert_t = transpose_equivalence_from_diagonal(result.certificate)
     assert cert_t.verify().valid
     assert cert_t.target == m.transpose()
 
@@ -317,6 +317,24 @@ def test_refutation_runs_at_most_once(fixtures_dir, obstruction_calls,
     m = _fixture_matrix(fixtures_dir, name)
     assert diagonalize(m, bounds).verdict == verdict
     assert len(obstruction_calls) == 1
+
+
+def test_search_is_granted_the_echoed_node_limit(fixtures_dir, monkeypatch):
+    import diagcert.diagonalizer as dz
+    granted = []
+    real_spend = dz._Search._spend
+
+    def spend(self):
+        ok = real_spend(self)
+        granted.append(ok)
+        return ok
+
+    monkeypatch.setattr(dz._Search, "_spend", spend)
+    m = _fixture_matrix(fixtures_dir, "triangular_int.json")
+    result = diagonalize(m, Bounds(search_nodes=40))
+    assert result.verdict == "unknown"
+    assert result.to_json()["bounds"]["search_nodes"] == 40
+    assert granted.count(True) == 40
 
 
 def test_budget_error_in_early_refutation_waits_for_the_search(

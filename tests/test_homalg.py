@@ -207,6 +207,32 @@ def test_iso_z4_vs_klein(zz):
     assert iso.obstruction.verify()
 
 
+def test_iso_annihilator_obstruction_stops_the_sweep(qxy, monkeypatch):
+    # R/m^2 + R/m^2 and R/m^2 + R/(x^2, y^2) share every Fitting ideal but
+    # not the annihilator; the probes after it never run
+    import diagcert.homalg as homalg
+    import diagcert.specialization as specialization
+    from diagcert.errors import InternalInvariantError
+
+    def cyclic(*gens):
+        return FPModule.cyclic(qxy, [qxy.parse(g) for g in gens])
+
+    square = cyclic("x^2", "x*y", "y^2")
+    M = square.direct_sum(square)
+    N = square.direct_sum(cyclic("x^2", "y^2"))
+
+    def unreachable(*args):
+        raise AssertionError("probes ran after the annihilator differed")
+
+    monkeypatch.setattr(specialization, "specialization_oracle", unreachable)
+    iso = is_isomorphic(M, N)
+    assert iso.verdict == "no" and iso.obstruction.kind == "annihilator"
+    monkeypatch.setattr(homalg.Obstruction, "verify", lambda self: False)
+    with pytest.raises(InternalInvariantError,
+                       match="annihilator obstruction failed re-check"):
+        is_isomorphic(M, N)
+
+
 def test_iso_jordan_vs_transpose(qxy):
     m = RingMatrix.parse(qxy, [["x", "y"], ["0", "x"]])
     iso = is_isomorphic(FPModule.from_matrix(m),

@@ -17,6 +17,9 @@ above it goes by name.
 
 No module of the package imports `testkit`: the test oracles and generators
 never back a verdict.
+
+No module of the package reads the environment: a run depends only on its
+arguments, and every limit it applies is one that `Bounds` reports.
 """
 
 import ast
@@ -157,3 +160,25 @@ def test_no_module_imports_testkit():
                  if path.name != "testkit.py" and
                  _imports_testkit(ast.parse(path.read_text(encoding="utf-8")))]
     assert not importers, f"modules importing testkit: {importers}"
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _reads_environment(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.Name, ast.alias)):
+            name = getattr(node, "id", None) or node.name
+        else:
+            continue
+        if name.split(".")[-1] in ENVIRONMENT_NAMES:
+            return True
+    return False
+
+
+def test_no_module_reads_the_environment():
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if _reads_environment(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not readers, f"modules reading the environment: {readers}"

@@ -2,9 +2,9 @@ import random
 
 from diagcert.homalg import FPModule
 from diagcert.linalg import RingMatrix, smith_normal_form, verify_certificate
-from diagcert.testkit import (default_probes, minors_gcd_snf_oracle,
-                              probe_signature, random_recipe, scramble,
-                              specialization_oracle)
+from diagcert.specialization import (default_probes, probe_signature,
+                                     specialization_oracle)
+from diagcert.testkit import minors_gcd_snf_oracle, random_recipe, scramble
 
 
 def test_oracle_fixtures(zz):
