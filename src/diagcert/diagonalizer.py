@@ -50,10 +50,7 @@ from .rings import IdealHandle, RingElement
 
 
 def _coeff_size(dom, c) -> int:
-    from fractions import Fraction
-    if isinstance(c, Fraction):
-        return abs(c.numerator).bit_length() + c.denominator.bit_length() - 1
-    return max(abs(int(c)).bit_length(), 1)
+    return max(abs(c.numerator).bit_length() + c.denominator.bit_length() - 1, 1)
 
 
 def _entry_weight(e: RingElement) -> int:

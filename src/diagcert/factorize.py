@@ -413,10 +413,9 @@ def _kronecker_factor(a: RingElement, weights, base, budget: _Budget):
         denom = 1
         for _, coeff in a._terms.items():
             denom = denom * coeff.denominator // _gcd_int(denom, coeff.denominator)
-        scaled = a.scale(Fraction(denom))
-        ints = {e: int(c) for e, c in scaled._terms.items()}
+        ints = a.scale(dom.from_int(denom))._terms
         cont = _z_content(list(ints.values()))
-        work = RingElement(ring, {e: Fraction(c // cont) for e, c in ints.items()})
+        work = RingElement(ring, {e: dom.from_int(c // cont) for e, c in ints.items()})
 
     image = _kronecker_image(work, weights)
     univ = (_fp_factor(image, dom.p, budget) if fp

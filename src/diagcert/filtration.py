@@ -90,10 +90,15 @@ class AnnihilatorSample:
 
 
 def _normalize_candidate(ring, vec: FreeVector) -> FreeVector:
+    """vec scaled so its first nonzero component has a canonical lead."""
+    dom = ring.coeffs
     for c in vec.comps:
         if not c.is_zero():
-            unit = ring.from_coeff(ring.coeffs.canonical_unit(c.leading_coeff()))
-            return vec.scale(unit.invert_unit())
+            unit = dom.canonical_unit(c.leading_coeff())
+            if unit == dom.one():
+                return vec
+            inv = dom.invert_unit(unit)
+            return FreeVector(ring, (comp.scale(inv) for comp in vec.comps))
     return vec
 
 

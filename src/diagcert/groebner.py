@@ -11,8 +11,9 @@ broken by the descriptor's monomial order.  Reduced bases are canonical, so
 submodule and ideal equality are decided by comparing them.
 
 Inside the engine a vector of R^rank is one sparse term map
-{(position, exponent): coefficient} over the raw coefficient domain (int,
-Fraction or a residue mod p), with no zero coefficients.  A reduction step
+{(position, exponent): coefficient} over the raw coefficient domain (an
+int over Z, a residue mod p, or a rational stored as an int when integral
+and as a Fraction otherwise), with no zero coefficients.  A reduction step
 updates its work map in place and touches only the terms of the reducer,
 as in sparse polynomial division (Monagan-Pearce, CASC 2007), though the
 lead is found by a scan rather than a heap.  One reduction routine serves
@@ -533,8 +534,14 @@ def syzygies(S: SubmoduleHandle) -> SubmoduleHandle:
 
 
 def colon(S: SubmoduleHandle, v: FreeVector) -> IdealHandle:
-    """The ideal {r in R : r*v in S}, the preimage of S under r -> r*v."""
-    return IdealHandle(S.ring, [c.comps[0] for c in preimage([v], S).generators])
+    """The ideal {r in R : r*v in S}, the preimage of S under r -> r*v.
+
+    With one tracked vector the preimage's generators are already the
+    ideal's reduced basis (tail-reduced, canonical leads, in basis order),
+    so the ideal keeps them instead of computing them again.
+    """
+    return IdealHandle.from_reduced_basis(
+        S.ring, [c.comps[0] for c in preimage([v], S).generators])
 
 
 def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:

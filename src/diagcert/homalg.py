@@ -736,16 +736,20 @@ class QGResult:
         return out
 
 
-def _signed_permutation_matrices(ring, n, include_signs=True):
+def _signed_permutations(ring, n, include_signs=True):
+    """(Q, cols) for each signed permutation matrix Q, where cols[j] is
+    (i, negated): column j's one nonzero entry is Q[i][j], -1 when negated."""
     from itertools import permutations, product
     one = ring.one()
-    signs_pool = [one, -one] if include_signs else [one]
+    signs_pool = [False, True] if include_signs else [False]
     for perm in permutations(range(n)):
         for signs in product(signs_pool, repeat=n):
             rows = [[ring.zero()] * n for _ in range(n)]
-            for i, (j, s) in enumerate(zip(perm, signs)):
-                rows[i][j] = s
-            yield RingMatrix(ring, rows)
+            cols = [None] * n
+            for i, (j, negated) in enumerate(zip(perm, signs)):
+                rows[i][j] = -one if negated else one
+                cols[j] = (i, negated)
+            yield RingMatrix(ring, rows), cols
 
 
 def transpose_equivalence_from_diagonal(cert: EquivalenceCertificate) -> EquivalenceCertificate:
@@ -800,14 +804,14 @@ def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
 
     # the sweep starts at (identity, identity), which witnesses a symmetric m
     n = m.nrows
-    if n <= 3:
-        candidates = list(_signed_permutation_matrices(ring, n))
-    else:
-        candidates = list(_signed_permutation_matrices(ring, n, include_signs=False))
-    for p in candidates:
+    candidates = list(_signed_permutations(ring, n, include_signs=n <= 3))
+    neg_mt = -mt
+    for p, _ in candidates:
         pm = p * m
-        for q in candidates:
-            if pm * q == mt:
+        for q, cols in candidates:
+            # column j of pm*q is column i of pm, negated where Q[i][j] = -1
+            if all((neg_mt if negated else mt).rows[r][j] == pm.rows[r][i]
+                   for j, (i, negated) in enumerate(cols) for r in range(n)):
                 cert = EquivalenceCertificate(source=m, left=p, right=q, target=mt)
                 check = cert.verify()
                 if not check.valid:

@@ -10,8 +10,10 @@ Conventions:
   * the canonical associate of a nonzero element has positive leading
     coefficient when the coefficient domain is Z, and leading coefficient 1
     when it is a field;
-  * all coefficient arithmetic is arbitrary precision (int / Fraction);
-    there is no floating point anywhere in this package.
+  * all coefficient arithmetic is arbitrary precision: an integer or a
+    residue mod p is an int, and a rational is an int when it is integral
+    and a Fraction (denominator > 1) otherwise, so equal values print and
+    hash alike; there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -169,24 +171,34 @@ class IntegerCoeffs(_CoeffDomain):
         return q
 
 
+def _rational(x):
+    """A rational as an int when it is integral, else as a Fraction."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class RationalCoeffs(_CoeffDomain):
+    """Q: an integral value is an int, any other a Fraction.
+
+    Every division goes through Fraction, so int / int never gives a float.
+    """
+
     name = "rationals"
     is_field = True
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def is_unit(self, a):
         return a != 0
@@ -194,29 +206,29 @@ class RationalCoeffs(_CoeffDomain):
     def invert_unit(self, a):
         if a == 0:
             raise UsageError("0 is not a unit")
-        return 1 / a
+        return _rational(Fraction(1) / a)
 
     def exact_div(self, a, b):
-        return a / b
+        return _rational(Fraction(a, b))
 
     def divmod_canonical(self, a, b):
-        return a / b, Fraction(0)
+        return self.exact_div(a, b), 0
 
     def gcd_ext(self, a, b):
         if a != 0:
-            return Fraction(1), 1 / a, Fraction(0)
+            return 1, self.invert_unit(a), 0
         if b != 0:
-            return Fraction(1), Fraction(0), 1 / b
-        return Fraction(0), Fraction(0), Fraction(0)
+            return 1, 0, self.invert_unit(b)
+        return 0, 0, 0
 
     def canonical_unit(self, a):
         return a
 
     def from_int(self, n):
-        return Fraction(n)
+        return _rational(n)
 
     def from_fraction(self, num, den):
-        return Fraction(num, den)
+        return _rational(Fraction(num, den))
 
 
 class PrimeFieldCoeffs(_CoeffDomain):
@@ -966,6 +978,14 @@ class IdealHandle:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = None
+
+    @classmethod
+    def from_reduced_basis(cls, ring: RingDescriptor, basis) -> "IdealHandle":
+        """The ideal generated by `basis`, which must already be its reduced
+        Groebner basis in canonical order; the basis is kept as computed."""
+        ideal = cls(ring, basis)
+        ideal._gb = () if ideal.is_zero_ideal() else ideal.generators
+        return ideal
 
     def is_zero_ideal(self) -> bool:
         return all(g.is_zero() for g in self.generators)

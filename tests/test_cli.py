@@ -110,6 +110,35 @@ def test_qg_subcommand(tmp_path, capsys, fixtures_dir):
     assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRIC_4X4_QG_SHA256
 
 
+# 3 x 3 inputs the signed permutation sweep decides: a symmetric one (hit at
+# the identity pair) and one whose transpose needs the reversal with a sign;
+# sha256 of the --json bytes, taken while the sweep formed every P*m*Q
+SWEEP_QG_INPUTS = {
+    "symmetric": ([["x", "y", "1"], ["y", "x^2", "0"], ["1", "0", "y"]],
+                  [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                  "24e748df1e367b0202874d839b365f91b644f368fb3cb8a7502a9c037e401ec4"),
+    "swapped": ([["x", "y", "1"], ["1", "x", "-y"], ["x^2", "-1", "x"]],
+                [["0", "0", "1"], ["0", "-1", "0"], ["1", "0", "0"]],
+                "cf7532ab19998cc5ce56af2cbe0d1151f4b8befe5898e9c3467be5197d5b1cf5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_QG_INPUTS))
+def test_qg_sweep_bytes_pinned(tmp_path, capsys, name):
+    rows, witness, digest = SWEEP_QG_INPUTS[name]
+    doc = {"schema": "diagcert/1",
+           "ring": {"kind": "polynomial", "coefficients": "rationals",
+                    "variables": ["x", "y"], "order": "grevlex"},
+           "matrix": rows}
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps(doc))
+    code, out, _ = invoke(capsys, "qg", "--input", str(path), "--json")
+    assert code == 0
+    cert = json.loads(out)["quasi_gorenstein"]["transpose_equivalence"]
+    assert cert["left"] == cert["right"] == witness
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_diagonalize_subcommand(capsys, fixtures_dir):
     code, out, _ = invoke(capsys, "diagonalize", "--input",
                           str(fixtures_dir / "triangular_int.json"), "--json")

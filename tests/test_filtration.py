@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagcert import filtration
+from diagcert import filtration, groebner, homalg
 from diagcert.bounds import Bounds
 from diagcert.errors import UsageError
 from diagcert.filtration import (AnnihilatorSample, SampleEntry,
@@ -302,3 +302,27 @@ def presentations(draw):
 def test_sample_matches_naive_definition(M):
     assert sample_lattice(M, ORACLE_BOUNDS).to_json() == \
         naive_sample_json(M, ORACLE_BOUNDS)
+
+
+def test_search_computes_no_basis_of_a_colon_ideal(fixtures_dir, monkeypatch):
+    # a colon ideal arrives with its reduced basis, so the search never
+    # hands one back to ideal_groebner
+    built = []
+    basis_calls = []
+
+    def spy_colon(S, v, _colon=groebner.colon):
+        ideal = _colon(S, v)
+        built.append(ideal)
+        return ideal
+
+    def spy_ideal_groebner(ring, generators, _gb=groebner.ideal_groebner):
+        basis_calls.append(generators)
+        return _gb(ring, generators)
+
+    monkeypatch.setattr(groebner, "colon", spy_colon)
+    monkeypatch.setattr(homalg, "colon", spy_colon)
+    monkeypatch.setattr(groebner, "ideal_groebner", spy_ideal_groebner)
+    search_minimal_cyclic_filtration(fixture_module(fixtures_dir, "jordan_block"))
+    assert built
+    assert not [gens for gens in basis_calls
+                if any(gens is ideal.generators for ideal in built)]

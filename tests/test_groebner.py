@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,3 +446,40 @@ def test_preimage_rechecks_each_element(qxy, monkeypatch):
     with pytest.raises(InternalInvariantError,
                        match="preimage element maps outside S"):
         preimage([vec(qxy, "x")], S)
+
+
+# -- colon ideals come out reduced ------------------------------------------
+
+COLON_RINGS = PROPERTY_RINGS + (
+    RingDescriptor.polynomial("integers", ["x", "y"], "grevlex"),)
+
+
+@st.composite
+def colon_problems(draw):
+    """(S, v) with entries of degree at most 2 and 3 relations at rank 1, 2
+    at rank 2; the "zero" shape has no relations (a zero colon ideal) and
+    the "unit" shape puts v in S."""
+    ring = draw(st.sampled_from(COLON_RINGS))
+    rank = draw(st.integers(1, 2))
+    entries = st.lists(elements(ring), min_size=1, max_size=2).map(
+        lambda factors: reduce(mul, factors))
+    vectors = st.lists(entries, min_size=rank, max_size=rank).map(
+        lambda comps: FreeVector(ring, comps))
+    shape = draw(st.sampled_from(["zero", "unit", "general", "general"]))
+    gens = [] if shape == "zero" else draw(st.lists(vectors, min_size=2,
+                                                    max_size=4 - rank))
+    v = gens[0] if shape == "unit" else draw(vectors)
+    return ring, SubmoduleHandle(ring, rank, gens), v
+
+
+@PROPERTY_SETTINGS
+@given(colon_problems())
+def test_colon_basis_is_the_reduced_basis(problem):
+    ring, S, v = problem
+    ideal = colon(S, v)
+    recomputed = tuple(groebner.ideal_groebner(ring, ideal.generators))
+    assert ideal.groebner() == recomputed
+    if v.is_zero() or S.contains(v)[0]:
+        assert ideal.is_unit_ideal()
+    if not S.generators and not v.is_zero():
+        assert ideal.is_zero_ideal() and ideal.groebner() == ()

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagcert.errors import ParseError, UsageError
-from diagcert.rings import RingDescriptor, ZZ, exact_divide, gcd, lcm
+from diagcert.rings import (RationalCoeffs, RingDescriptor, ZZ, exact_divide,
+                            gcd, lcm)
 
 
 def rand_element(rng, ring, terms=3, degree=3, height=6):
@@ -233,3 +236,71 @@ def test_ideal_equality_and_membership(zx, qxy):
     assert xy.principal_generator() is None
     x2 = IdealHandle(qxy, [qxy.parse("x^2"), qxy.parse("x^3")])
     assert str(x2.principal_generator()) == "x^2"
+
+
+# -- rational coefficients: an integral value is an int ----------------------
+
+RATIONAL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
+
+
+def _assert_rational(value):
+    """No float; an int when integral, else a Fraction with denominator > 1."""
+    assert type(value) in (int, Fraction), type(value)
+    if value.denominator == 1:
+        assert type(value) is int
+    else:
+        assert value.denominator > 1
+
+
+@st.composite
+def rationals(draw):
+    num = draw(st.integers(-30, 30))
+    den = draw(st.sampled_from([1, 1, 2, 3, 4, 6, 9]))
+    return RationalCoeffs().from_fraction(num, den)
+
+
+@RATIONAL_SETTINGS
+@given(rationals(), rationals(), st.integers(-50, 50))
+def test_rational_coefficients_keep_one_representation(a, b, n):
+    dom = RationalCoeffs()
+    results = [dom.zero(), dom.one(), dom.from_int(n), dom.add(a, b),
+               dom.neg(a), dom.mul(a, b), *dom.gcd_ext(a, b),
+               *dom.gcd_ext(dom.zero(), b)]
+    for x in (a, b):
+        if x != 0:
+            results += [dom.invert_unit(x), dom.exact_div(a, x),
+                        *dom.divmod_canonical(a, x), dom.canonical_unit(x)]
+    if n:
+        results.append(dom.from_fraction(n, 6))
+    for value in results:
+        _assert_rational(value)
+    assert dom.add(a, dom.neg(a)) == 0
+    if a != 0:
+        assert dom.mul(a, dom.invert_unit(a)) == 1
+
+
+@RATIONAL_SETTINGS
+@given(rationals(), rationals(), rationals())
+def test_rational_polynomials_keep_one_representation(a, b, c):
+    ring = RingDescriptor.polynomial("rationals", ["x", "y"], "grevlex")
+    p = ring.monomial((1, 0), a) + ring.monomial((0, 1), b) + ring.from_coeff(c)
+    q = ring.monomial((1, 1), b) + ring.from_coeff(a)
+    values = [p + q, p - q, p * q, -p, p.scale(c)]
+    values += list(p.canonical_associate()) + list(q.canonical_associate())
+    if not q.is_zero():
+        values.append(exact_divide(p * q, q))
+    for value in values:
+        for _, coeff in value.terms():
+            _assert_rational(coeff)
+        assert ring.parse(str(value)) == value
+
+
+@pytest.mark.parametrize("text, shown", [("1/2*x + 3", "1/2*x + 3"),
+                                         ("-x + 4/2", "-x + 2")])
+def test_rational_parse_and_print_round_trip(qxy, text, shown):
+    element = qxy.parse(text)
+    assert str(element) == shown
+    assert qxy.parse(shown) == element
+    for _, coeff in element.terms():
+        _assert_rational(coeff)
