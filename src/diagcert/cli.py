@@ -121,7 +121,7 @@ def _render_qg(result) -> str:
     if result.matrix_certificate is not None:
         lines.append(f"  matrix certificate verified: "
                      f"{bool(result.matrix_certificate.verify())}")
-    elif result.iso is not None and result.verdict == "yes":
+    elif result.iso is not None:
         lines.append("  witnessed by a certified module isomorphism")
     if result.grade_value is not None:
         lines.append(f"  grade = projective dimension = {result.grade_value}")

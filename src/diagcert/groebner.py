@@ -196,7 +196,7 @@ class _Engine:
         self.ring = ring
         self.rank = rank
         self.dom = ring.coeffs
-        self.steps_left = current_steps()
+        self.steps_limit = self.steps_left = current_steps()
         self.basis: list[_BasisElem] = []
         self.pairs = []
         self.treated = set()
@@ -210,7 +210,8 @@ class _Engine:
     def _tick(self, n=1):
         self.steps_left -= n
         if self.steps_left < 0:
-            raise StepBudgetExceeded("groebner step budget exhausted")
+            raise StepBudgetExceeded(
+                f"groebner step budget exhausted: steps={self.steps_limit}")
 
     def _canonicalize(self, terms, expr):
         """Scale terms and expr in place so the lead coefficient is canonical."""

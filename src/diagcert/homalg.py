@@ -8,7 +8,9 @@ Verdicts are certified:
   * every Yes from is_isomorphic ships homs both ways, re-checked to be
     well defined and mutually inverse modulo relations;
   * every No carries an invariant mismatch (Fitting ideal, annihilator, or a
-    finite specialization probe) that re-verifies independently;
+    finite specialization probe) that re-verifies independently; the
+    transpose test has no No, since none of these tells coker(m) from
+    coker(m^T);
   * Unknown is an honest output when the bounded candidate search runs out,
     never silently converted to No.
 """
@@ -16,6 +18,7 @@ Verdicts are certified:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .bounds import Bounds, applies_bounds
 from .errors import (DegenerateInputError, FullRankRequiredError,
@@ -677,34 +680,39 @@ def is_isomorphic(M: FPModule, N: FPModule, bounds: Bounds = None) -> IsoResult:
     bounds = bounds or Bounds()
     if M.ring != N.ring:
         raise UsageError("modules over different rings")
-    ring = M.ring
-
-    if M.gens == N.gens and M.same_presentation(N):
-        ident = RingMatrix.identity(ring, M.gens).rows if M.gens else ()
-        phi = ModuleHom(M, N, ident)
-        psi = ModuleHom(N, M, ident)
-        return IsoResult("yes", phi, psi)
-    if M.is_zero() and N.is_zero():
-        phi = ModuleHom(M, N, [[ring.zero()] * M.gens for _ in range(N.gens)])
-        psi = ModuleHom(N, M, [[ring.zero()] * N.gens for _ in range(M.gens)])
-        return IsoResult("yes", phi, psi)
-
+    trivial = _trivial_isomorphism(M, N)
+    if trivial is not None:
+        return trivial
     for obst in _obstructions(M, N):
         if not obst.verify():
             raise InternalInvariantError(f"{obst.kind} obstruction failed re-check")
         return IsoResult("no", obstruction=obst, bounds=bounds)
+    return _search_isomorphism(M, N, bounds)
 
+
+def _trivial_isomorphism(M: FPModule, N: FPModule) -> "IsoResult | None":
+    """Yes by the identity when M and N share a presentation, by the zero
+    map when both are zero; None otherwise."""
+    ring = M.ring
+    if M.gens == N.gens and M.same_presentation(N):
+        ident = RingMatrix.identity(ring, M.gens).rows if M.gens else ()
+        return IsoResult("yes", ModuleHom(M, N, ident), ModuleHom(N, M, ident))
+    if M.is_zero() and N.is_zero():
+        phi = ModuleHom(M, N, [[ring.zero()] * M.gens for _ in range(N.gens)])
+        psi = ModuleHom(N, M, [[ring.zero()] * N.gens for _ in range(M.gens)])
+        return IsoResult("yes", phi, psi)
+    return None
+
+
+def _search_isomorphism(M: FPModule, N: FPModule, bounds: Bounds) -> IsoResult:
+    """Yes with the first certified isomorphism among the first
+    bounds.iso_candidates candidate maps M -> N, else unknown."""
     generators = hom_module(M, N, bounds)
-    tried = 0
-    for matrix in _iso_candidates(generators, ring, bounds):
-        tried += 1
-        if tried > bounds.iso_candidates:
-            break
-        phi = ModuleHom(M, N, matrix)
-        result = _try_iso(phi)
+    candidates = _iso_candidates(generators, M.ring, bounds)
+    for matrix in islice(candidates, bounds.iso_candidates):
+        result = _try_iso(ModuleHom(M, N, matrix))
         if result is not None:
-            phi, psi = result
-            return IsoResult("yes", phi, psi)
+            return IsoResult("yes", *result)
     return IsoResult("unknown", bounds=bounds)
 
 
@@ -714,10 +722,9 @@ def is_isomorphic(M: FPModule, N: FPModule, bounds: Bounds = None) -> IsoResult:
 
 @dataclass
 class QGResult:
-    verdict: str                       # "yes" | "no" | "unknown"
+    verdict: str                       # "yes" | "unknown"
     matrix_certificate: EquivalenceCertificate = None
     iso: IsoResult = None
-    obstruction: Obstruction = None
     grade_value: int = None
     bounds: Bounds = None
 
@@ -729,10 +736,10 @@ class QGResult:
                 self.matrix_certificate.verify())
         if self.iso is not None:
             out["module_isomorphism"] = self.iso.to_json()
-        if self.obstruction is not None:
-            out["obstruction"] = self.obstruction.to_json()
         if self.grade_value is not None:
             out["grade"] = self.grade_value
+        if self.verdict == "unknown" and self.bounds is not None:
+            out["bounds"] = self.bounds.to_json()
         return out
 
 
@@ -782,7 +789,9 @@ def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
 
     A verified matrix equivalence P*m*Q = m^T is the preferred witness; the
     bounded module-isomorphism search is the fallback.  Yes verdicts include
-    the grade-one certification.
+    the grade-one certification.  The answer is yes or unknown, never no:
+    no invariant is checked, because the Fitting ideals, the annihilator and
+    every specialization probe of coker(m) and coker(m^T) agree.
     """
     bounds = bounds or Bounds()
     if not m.is_square():
@@ -823,11 +832,10 @@ def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
         cert = transpose_equivalence_from_diagonal(snf.certificate)
         return _yes(cert=cert)
 
-    iso = is_isomorphic(FPModule.from_matrix(m), FPModule.from_matrix(mt), bounds)
+    M, N = FPModule.from_matrix(m), FPModule.from_matrix(mt)
+    iso = _trivial_isomorphism(M, N) or _search_isomorphism(M, N, bounds)
     if iso.verdict == "yes":
         return _yes(iso=iso)
-    if iso.verdict == "no":
-        return QGResult("no", obstruction=iso.obstruction, bounds=bounds)
     return QGResult("unknown", bounds=bounds)
 
 

@@ -298,9 +298,6 @@ class ColScale:
         return {"op": "col_scale", "i": self.i, "unit": str(self.unit)}
 
 
-ELEMENTARY_OPS = (RowSwap, ColSwap, RowAdd, ColAdd, RowScale, ColScale)
-
-
 def _validate_op(m: RingMatrix, op):
     n, c = m.nrows, m.ncols
     if isinstance(op, (RowSwap, RowAdd, RowScale)):

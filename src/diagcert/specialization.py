@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, product
-from math import gcd as int_gcd
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -20,30 +19,19 @@ if TYPE_CHECKING:
 
 
 def default_probes(ring: RingDescriptor):
-    """Finite-quotient probes: substitute variables from {0, 1, -1}; for
-    integer coefficients also reduce modulo small prime powers; for two or
-    more variables also keep one variable and compare elementary divisors."""
-    probes = []
+    """Finite-quotient probes: every point of {0, 1, -1}^n, then, over field
+    coefficients with two or more variables, each substitution of all but one
+    variable, compared by elementary divisors over the univariate PID.  None
+    reduces modulo a prime power: that signature is a function of the one at
+    the same point, which comes first."""
     values = (0, 1, -1)
-    nvars = ring.nvars
-    if nvars == 0:
-        probes.append({"substitute": {}, "mod": None})
-        for p in (2, 3, 5):
-            for e in (1, 2):
-                probes.append({"substitute": {}, "mod": [p, e]})
-        return probes
-    for combo in product(values, repeat=nvars):
-        sub = {name: v for name, v in zip(ring.variables, combo)}
-        probes.append({"substitute": sub, "mod": None})
-        if isinstance(ring.coeffs, IntegerCoeffs):
-            for p in (2, 3, 5):
-                probes.append({"substitute": sub, "mod": [p, 1]})
-    if nvars >= 2:
+    probes = [{"substitute": dict(zip(ring.variables, combo))}
+              for combo in product(values, repeat=ring.nvars)]
+    if ring.coeffs.is_field and ring.nvars >= 2:
         for keep in ring.variables:
             rest = [v for v in ring.variables if v != keep]
-            for combo in product(values, repeat=len(rest)):
-                sub = {name: v for name, v in zip(rest, combo)}
-                probes.append({"substitute": sub, "keep": keep, "mod": None})
+            probes.extend({"substitute": dict(zip(rest, combo)), "keep": keep}
+                          for combo in product(values, repeat=len(rest)))
     return probes
 
 
@@ -159,13 +147,9 @@ def probe_signature(M: FPModule, probe) -> dict:
     for name, value in sub_names.items():
         mapping[ring.var_index(name)] = value
     keep = probe.get("keep")
-    mod = probe.get("mod")
 
     if keep is not None:
         keep_idx = ring.var_index(keep)
-        if isinstance(ring.coeffs, IntegerCoeffs):
-            # no division algorithm over Z[t]; skip this probe shape
-            return {"skipped": True}
         target = RingDescriptor.polynomial(ring.coeffs, [keep], "lex")
         cols = [[_substitute_keep(v.comps[i], mapping, keep_idx, target)
                  for v in M.relations] for i in range(g)]
@@ -194,12 +178,6 @@ def probe_signature(M: FPModule, probe) -> dict:
                  for v in M.relations] for i in range(g)]
         factors = _int_invariant_factors(grid)
         free_rank = g - len(factors)
-    if mod is not None:
-        p, e = mod
-        q = p ** e
-        parts = [int_gcd(d, q) for d in factors] + [q] * free_rank
-        parts = sorted(x for x in parts if x > 1)
-        return {"group_mod": [p, e], "parts": parts}
     parts = sorted(d for d in factors if d > 1)
     return {"parts": parts, "free_rank": free_rank}
 
@@ -211,27 +189,16 @@ class SpecializationOutcome:
     lhs_signature: dict = None
     rhs_signature: dict = None
 
-    def to_json(self):
-        if not self.distinguished:
-            return {"distinguished": False}
-        return {"distinguished": True, "probe": self.probe,
-                "lhs": self.lhs_signature, "rhs": self.rhs_signature}
 
-
-def specialization_oracle(M: FPModule, N: FPModule,
-                          probes=None) -> SpecializationOutcome:
+def specialization_oracle(M: FPModule, N: FPModule) -> SpecializationOutcome:
     """Sound negative witness: a probe under which the finite quotients of
     M and N differ refutes any isomorphism.  Indistinguishable means no
     conclusion."""
     if M.ring != N.ring:
         raise UsageError("modules over different rings")
-    if probes is None:
-        probes = default_probes(M.ring)
-    for probe in probes:
+    for probe in default_probes(M.ring):
         lhs = probe_signature(M, probe)
         rhs = probe_signature(N, probe)
-        if lhs.get("skipped") or rhs.get("skipped"):
-            continue
         if lhs != rhs:
             return SpecializationOutcome(True, probe, lhs, rhs)
     return SpecializationOutcome(False)

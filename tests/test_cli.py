@@ -110,6 +110,39 @@ def test_qg_subcommand(tmp_path, capsys, fixtures_dir):
     assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRIC_4X4_QG_SHA256
 
 
+def test_qg_unknown_echoes_its_bounds(capsys, fixtures_dir):
+    code, out, _ = invoke(capsys, "qg", "--input",
+                          str(fixtures_dir / "triangular_int.json"),
+                          "--degree", "1", "--height", "1", "--json")
+    assert code == 4
+    assert json.loads(out)["quasi_gorenstein"] == {
+        "verdict": "unknown", "bounds": Bounds(degree=1, height=1).to_json()}
+
+
+# sha256 of `qg --json` on triangular_int, which the candidate search
+# decides, taken while the transpose test still ran the isomorphism
+# obstructions first
+TRIANGULAR_QG_SHA256 = \
+    "6fe885dba8ebc25648a7e9be90695150fe3e04ab07a6703dbd4893cb9b9f1bd1"
+
+
+def test_qg_fallback_checks_no_invariant(capsys, fixtures_dir, monkeypatch):
+    from diagcert import homalg, specialization
+
+    def refuse(*args):
+        raise AssertionError("the transpose test computed an invariant")
+
+    for module, name in ((homalg, "_obstructions"), (homalg, "annihilator"),
+                         (homalg, "module_fitting_ideal"),
+                         (specialization, "specialization_oracle")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, _ = invoke(capsys, "qg", "--input",
+                          str(fixtures_dir / "triangular_int.json"), "--json")
+    assert code == 0
+    assert json.loads(out)["quasi_gorenstein"]["module_isomorphism"]
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIANGULAR_QG_SHA256
+
+
 # 3 x 3 inputs the signed permutation sweep decides: a symmetric one (hit at
 # the identity pair) and one whose transpose needs the reversal with a sign;
 # sha256 of the --json bytes, taken while the sweep formed every P*m*Q
@@ -229,6 +262,15 @@ def test_steps_flag_caps_groebner(capsys, fixtures_dir, subcommand):
                           "--steps", "5")
     assert code == 4
     assert "budget" in err.lower()
+
+
+def test_step_budget_message_names_the_bound(capsys, fixtures_dir):
+    code, _, err = invoke(capsys, "analyze", "--input",
+                          str(fixtures_dir / "jordan_block.json"),
+                          "--steps", "5")
+    assert code == 4
+    assert err == "budget exhausted: groebner step budget exhausted: " \
+                  "steps=5\n"
 
 
 def _jordan_calls(fixtures_dir):

@@ -1,17 +1,19 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from diagcert.bounds import Bounds
 from diagcert.errors import DegenerateInputError, FullRankRequiredError
 from diagcert.groebner import FreeVector
-from diagcert.homalg import (FPModule, annihilator, element_annihilator, ext,
-                             free_resolution, grade, hom_dual_sequence,
-                             hom_module, is_isomorphic, is_quasi_gorenstein,
-                             module_fitting_ideal, quotient_presentation,
-                             split_test, submodule_presentation,
+from diagcert.homalg import (FPModule, _obstructions, annihilator,
+                             element_annihilator, ext, free_resolution, grade,
+                             hom_dual_sequence, hom_module, is_isomorphic,
+                             is_quasi_gorenstein, module_fitting_ideal,
+                             quotient_presentation, split_test,
+                             submodule_presentation,
                              transpose_equivalence_from_diagonal)
-from diagcert.linalg import RingMatrix, smith_normal_form
+from diagcert.linalg import RingMatrix, determinant, smith_normal_form
 from diagcert.rings import RingDescriptor
 
 
@@ -313,6 +315,44 @@ def test_qg_degenerate_inputs(qxy):
         is_quasi_gorenstein(RingMatrix.parse(qxy, [["x", "x"], ["x", "x"]]))
     with pytest.raises(DegenerateInputError):
         is_quasi_gorenstein(RingMatrix.parse(qxy, [["1", "x"], ["0", "1"]]))
+
+
+def test_qg_unknown_echoes_its_bounds(zx):
+    m = RingMatrix.parse(zx, [["2", "x"], ["0", "3"]])
+    bounds = Bounds(degree=1, height=1)
+    result = is_quasi_gorenstein(m, bounds)
+    assert result.verdict == "unknown"
+    assert result.to_json() == {"verdict": "unknown",
+                                "bounds": bounds.to_json()}
+
+
+# (ring, entries) of the matrices whose cokernel meets its transpose's
+TRANSPOSE_RINGS = (
+    (("integers", ["x"], "lex"), ("0", "1", "2", "x", "x + 1", "2*x", "x^2")),
+    (("integers", ["x", "y"], "grevlex"), ("0", "1", "2", "x", "y", "x*y")),
+    (("rationals", ["x", "y"], "grevlex"), ("0", "1", "x", "y", "x + y", "y^2")),
+    ((5, ["x", "y"], "grevlex"), ("0", "1", "x", "y", "x + 2*y", "x*y")),
+)
+
+
+@st.composite
+def full_rank_matrices(draw):
+    spec, entries = draw(st.sampled_from(TRANSPOSE_RINGS))
+    ring = RingDescriptor.polynomial(*spec)
+    n = draw(st.sampled_from([2, 3]))
+    grid = [[draw(st.sampled_from(entries)) for _ in range(n)]
+            for _ in range(n)]
+    m = RingMatrix.parse(ring, grid)
+    assume(not determinant(m).is_zero())
+    return m
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(full_rank_matrices())
+def test_no_invariant_tells_a_cokernel_from_its_transpose(m):
+    # the transpose test checks none: they never fire on this pair
+    M, N = FPModule.from_matrix(m), FPModule.from_matrix(m.transpose())
+    assert list(_obstructions(M, N)) == []
 
 
 def test_transpose_equivalence_from_diagonal(zz):

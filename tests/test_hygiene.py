@@ -10,6 +10,10 @@ benchmark.  A name, an attribute, an imported name or a string that is
 exactly the identifier all count as a reference; the check goes by name, so
 it cannot tell apart two methods that share one.
 
+No module-level constant is dead: each name a module of the package binds
+by plain assignment (dunders aside) is referenced somewhere other than its
+own assignment, counted the same way as functions.
+
 No dataclass field is dead: each field of a dataclass in the package is read
 somewhere in the package, the tests or the benchmark.  An attribute load or
 a string that is exactly the field name counts as a read; like the check
@@ -104,6 +108,32 @@ def test_no_dead_definitions():
             if total[node.name] - own[node.name] <= 0:
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, f"functions referenced nowhere else: {dead}"
+
+
+def _constants(tree):
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield stmt, target.id
+
+
+def test_no_dead_constants():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SCANNED}
+    total = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    dead = [f"{path.name}:{stmt.lineno} {name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for stmt, name in _constants(trees[path])
+            if total[name] - _references(stmt)[name] <= 0]
+    assert not dead, f"constants referenced nowhere else: {dead}"
 
 
 def _is_dataclass(decorator):

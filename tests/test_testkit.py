@@ -74,26 +74,31 @@ def test_specialization_jordan_vs_double_point(qxy):
     # collapses one of them to a single fat point and tells them apart
     jordan = FPModule.from_matrix(RingMatrix.parse(qxy, [["x", "y"], ["0", "x"]]))
     dxx = FPModule.from_matrix(RingMatrix.parse(qxy, [["x", "0"], ["0", "x"]]))
-    keep_probe = {"substitute": {"y": 0}, "keep": "x", "mod": None}
+    keep_probe = {"substitute": {"y": 0}, "keep": "x"}
     assert probe_signature(jordan, keep_probe) == probe_signature(dxx, keep_probe)
     assert probe_signature(jordan, keep_probe) == {"factors": ["x", "x"],
                                                    "free_rank": 0}
-    point_probe = {"substitute": {"x": 0, "y": 1}, "mod": None}
+    point_probe = {"substitute": {"x": 0, "y": 1}}
     assert probe_signature(jordan, point_probe) == {"dim": 1}
     assert probe_signature(dxx, point_probe) == {"dim": 2}
     outcome = specialization_oracle(jordan, dxx)
     assert outcome.distinguished
 
 
-def test_probe_pool_covers_mod_primes(zz):
-    probes = default_probes(zz)
-    mods = {tuple(p["mod"]) for p in probes if p.get("mod")}
-    assert {(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)} <= mods
-
-
-def test_int_signature_mod_prime_power(zz):
-    z4 = FPModule.from_matrix(RingMatrix.parse(zz, [["4"]]))
-    sig = probe_signature(z4, {"substitute": {}, "mod": [2, 1]})
-    assert sig == {"group_mod": [2, 1], "parts": [2]}
-    sig = probe_signature(z4, {"substitute": {}, "mod": [2, 2]})
-    assert sig == {"group_mod": [2, 2], "parts": [4]}
+def test_default_probes_are_the_points_then_keep_probes(zz, zx, qx, qxy, f5x):
+    from itertools import product
+    from diagcert.rings import RingDescriptor
+    zxy = RingDescriptor.polynomial("integers", ["x", "y"], "grevlex")
+    f5xy = RingDescriptor.polynomial(5, ["x", "y"], "grevlex")
+    for ring in (zz, zx, qx, f5x, zxy, qxy, f5xy):
+        probes = default_probes(ring)
+        points = [dict(zip(ring.variables, combo))
+                  for combo in product((0, 1, -1), repeat=ring.nvars)]
+        assert probes[:len(points)] == [{"substitute": p} for p in points]
+        keeps = probes[len(points):]
+        if ring.coeffs.is_field and ring.nvars >= 2:
+            assert [p["keep"] for p in keeps] == ["x"] * 3 + ["y"] * 3
+            assert all(set(p) == {"substitute", "keep"} and
+                       p["keep"] not in p["substitute"] for p in keeps)
+        else:
+            assert keeps == []
