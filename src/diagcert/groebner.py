@@ -26,16 +26,23 @@ Every basis element carries its expression in terms of the input generators,
 which is how membership witnesses are produced; each witness is recombined
 from the input generators and compared before it is returned.
 
-Syzygies, colon ideals and subquotient presentations all come from one
+Syzygies, subquotient presentations and colon ideals come from one
 elimination basis (`preimage`): tracked vectors t_i get a unit coordinate
 e_i placed after the module's own positions, so under position-over-term the
 basis elements whose lead lies in those last positions have a zero module
 part, and their tracking parts generate {c : sum c_i t_i in S}.  Every
 returned c is re-checked by membership in S.
+
+The exception is a colon (S : v) over a field where R^rank/S has finite
+length: `colon` then finds the kernel of r -> r*v on that space by linear
+algebra on normal forms (Buchberger-Moller), more cheaply.  A reduced basis
+over a field is unique, so the generators are the same either way, and each
+is re-checked by membership in S alike.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 
 from .bounds import current_steps
@@ -534,15 +541,95 @@ def syzygies(S: SubmoduleHandle) -> SubmoduleHandle:
     return preimage(S.generators, SubmoduleHandle(S.ring, S.rank, ()))
 
 
-def colon(S: SubmoduleHandle, v: FreeVector) -> IdealHandle:
-    """The ideal {r in R : r*v in S}, the preimage of S under r -> r*v.
+def _has_finite_length(S: SubmoduleHandle) -> bool:
+    """Whether the coefficients form a field and R^rank/S has finite length:
+    at every position the leads of S's reduced basis include a pure power
+    of each variable, where x^0 counts as a power of every variable."""
+    ring = S.ring
+    if not ring.coeffs.is_field:
+        return False
+    pure = {(b.lead[0], j) for b in S._engine_basis() for j in range(ring.nvars)
+            if not any(a for k, a in enumerate(b.lead[1]) if k != j)}
+    return len(pure) == S.rank * ring.nvars
 
-    With one tracked vector the preimage's generators are already the
-    ideal's reduced basis (tail-reduced, canonical leads, in basis order),
-    so the ideal keeps them instead of computing them again.
+
+def _colon_finite_length(S: SubmoduleHandle, v: FreeVector):
+    """The reduced basis of {r : r*v in S}, ascending by lead, when R^rank/S
+    has finite length (Buchberger-Moller).
+
+    Monomials x^t are visited in increasing order, skipping multiples of the
+    leads found so far.  The normal form of x^t*v is x_j times the stored
+    normal form of x^(t - e_j)*v, reduced against S on one engine, and then
+    against echelon rows keyed by their largest term, whose coefficient is
+    1.  A zero result gives the basis element x^t - sum(c_s x^s) over
+    earlier monomials; a nonzero one becomes a row, and each x_j*x^t is
+    queued.
     """
-    return IdealHandle.from_reduced_basis(
-        S.ring, [c.comps[0] for c in preimage([v], S).generators])
+    ring, rank, dom = S.ring, S.rank, S.ring.coeffs
+    basis = S._engine_basis()
+    engine = _Engine(ring, rank, ())
+    one, start = dom.one(), (0,) * ring.nvars
+    todo = [(ring.monomial_key(start), start, None)]
+    forms = {}          # visited monomial t -> normal form of x^t*v
+    rows = {}           # pivot term -> (row, its combination of monomials)
+    pivots = []         # (module key, pivot term), ascending
+    leads, found = [], []
+    while todo:
+        _, t, prev = heapq.heappop(todo)
+        if t in forms or any(_exp_divides(lead, t) for lead in leads):
+            continue
+        if prev is None:
+            terms = _terms_of(v)
+        else:
+            step = _exp_sub(t, prev)
+            terms = {(i, tuple(a + b for a, b in zip(e, step))): c
+                     for (i, e), c in forms[prev].items()}
+        nf, _ = engine._normal_form(basis, terms)
+        work, combination = dict(nf), {(0, t): one}
+        for _, pivot in reversed(pivots):
+            if pivot in work:
+                q = dom.neg(work[pivot])
+                row, row_combination = rows[pivot]
+                _add_scaled(dom, work, row, start, q)
+                _add_scaled(dom, combination, row_combination, start, q)
+        if not work:
+            leads.append(t)
+            found.append(RingElement(ring, {e: c for (_, e), c
+                                            in combination.items()}))
+            continue
+        engine._canonicalize(work, combination)
+        pos, exp, _ = _lead(ring, work)
+        rows[pos, exp] = (work, combination)
+        bisect.insort(pivots, (_module_key(ring, rank, pos, exp), (pos, exp)))
+        forms[t] = nf
+        for j in range(ring.nvars):
+            u = tuple(a + (k == j) for k, a in enumerate(t))
+            heapq.heappush(todo, (ring.monomial_key(u), u, t))
+    return found
+
+
+def colon(S: SubmoduleHandle, v: FreeVector) -> IdealHandle:
+    """The ideal {r in R : r*v in S}.
+
+    Over a field, when R^rank/S has finite length (at every position the
+    leads of S's reduced basis include a pure power of each variable), the
+    ideal is the kernel of r -> r*v on that space, found by linear algebra
+    on normal forms (Buchberger-Moller; Marinari-Moller-Mora, AAECC 4, 1993),
+    and each generator r is re-checked by membership of r*v in S.  Otherwise
+    it is the preimage of S under r -> r*v, whose generators are already the
+    ideal's reduced basis (tail-reduced, canonical leads, in basis order).
+    A reduced basis over a field is unique, so both ways give the same
+    generators, and the ideal keeps them instead of computing them again.
+    """
+    S._check_vector(v)
+    if not _has_finite_length(S):
+        return IdealHandle.from_reduced_basis(
+            S.ring, [c.comps[0] for c in preimage([v], S).generators])
+    gens = _colon_finite_length(S, v)
+    for r in gens:
+        if not S.contains(v.scale(r))[0]:
+            raise InternalInvariantError("colon element maps outside S")
+    return IdealHandle.from_reduced_basis(S.ring, gens)
 
 
 def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:

@@ -742,8 +742,9 @@ def _subresultant_gcd(f: RingElement, g: RingElement, v: int) -> RingElement:
         if rem.is_zero():
             return r_cur
         r_next = _exact_or_bug(rem, beta)
-        # psi_{i+1} = (-lc(R_{i-1}))^delta_i / psi_i^(delta_i - 1)
-        neg_lc = -_lc_in(r_prev, v)
+        # psi_{i+1} = (-lc(R_i))^delta_i / psi_i^(delta_i - 1), with
+        # delta_i = deg R_{i-1} - deg R_i (Brown-Traub, J. ACM 18, 1971)
+        neg_lc = -_lc_in(r_cur, v)
         if delta == 0:
             psi_next = psi
         elif delta == 1:
@@ -751,7 +752,7 @@ def _subresultant_gcd(f: RingElement, g: RingElement, v: int) -> RingElement:
         else:
             psi_next = _exact_or_bug(neg_lc ** delta, psi ** (delta - 1))
         delta = r_cur.degree_in(v) - r_next.degree_in(v)
-        beta = (-_lc_in(r_cur, v)) * psi_next ** delta
+        beta = neg_lc * psi_next ** delta
         psi = psi_next
         r_prev, r_cur = r_cur, r_next
 

@@ -87,6 +87,22 @@ def test_filtration_exit_codes(capsys, fixtures_dir):
     assert code == 4
 
 
+
+def test_filtration_where_the_sample_takes_gcds(tmp_path, capsys):
+    # principal_generator takes gcds of these annihilators over Z[x,y]; the
+    # subresultant remainder sequence once raised an internal invariant here
+    doc = {"schema": "diagcert/1",
+           "ring": {"kind": "polynomial", "coefficients": "integers",
+                    "variables": ["x", "y"], "order": "grevlex"},
+           "generators": 1,
+           "relations": [["-3*x^3 + x^2*y + 6*x - 2*y"], ["-9*x^3 + 3*x^2*y"]]}
+    path = tmp_path / "module.json"
+    path.write_text(dumps(doc))
+    code, out, err = invoke(capsys, "filtration", "--input", str(path),
+                            "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["filtration"]["verdict"] == "found"
+
 # a symmetric 4 x 4 input goes down the unsigned permutation sweep; sha256
 # of its --json bytes, taken while symmetric inputs had their own branch
 SYMMETRIC_4X4_QG_SHA256 = \

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from diagcert import filtration, groebner, homalg
 from diagcert.bounds import Bounds
+from diagcert.cli import main
 from diagcert.errors import UsageError
 from diagcert.filtration import (AnnihilatorSample, SampleEntry,
                                  enumerate_elements,
@@ -231,6 +232,27 @@ def test_filtration_bytes_pinned(fixtures_dir, name, function):
     assert hashlib.sha256(text.encode()).hexdigest() == \
         PINNED_DIGESTS[name, function]
 
+
+
+# scramble 16 of the seed-1 analyze-full benchmark (a Q[x,y] core with one
+# add below the diagonal): four finite-length quotients of 17 to 20 classes
+# each, whose colons take the linear-algebra path; sha256 of the analyze
+# --json bytes, taken while every colon came from an elimination basis
+FINITE_LENGTH_ANALYZE = {
+    "ring": {"kind": "polynomial", "coefficients": "rationals",
+             "variables": ["x", "y"], "order": "grevlex"},
+    "matrix": [["x", "y"], ["-2*x", "x - 2*y"]]}
+FINITE_LENGTH_ANALYZE_SHA256 = \
+    "9bfbfeb0637e955c5e7fafe3c2422caca94a7bfbcc81a6784236c0fbaf37d6ca"
+
+
+def test_finite_length_analyze_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "scramble.json"
+    path.write_text(dumps(dict(FINITE_LENGTH_ANALYZE, schema="diagcert/1")))
+    assert main(["analyze", "--input", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        FINITE_LENGTH_ANALYZE_SHA256
 
 def test_search_annihilates_each_class_once(fixtures_dir, monkeypatch):
     M = fixture_module(fixtures_dir, "jordan_block")

@@ -5,13 +5,15 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagcert import groebner
+from diagcert import groebner, homalg
 from diagcert.bounds import Bounds, applies_bounds
 from diagcert.errors import (InternalInvariantError, StepBudgetExceeded,
                              UsageError)
+from diagcert.filtration import search_minimal_cyclic_filtration
 from diagcert.groebner import (FreeVector, SubmoduleHandle, colon,
                                groebner_basis, ideal_intersection, membership,
                                preimage, syzygies)
+from diagcert.jsonio import load_document, matrix_from_json
 from diagcert.rings import IdealHandle, RingDescriptor, RingElement, ZZ
 
 
@@ -483,3 +485,129 @@ def test_colon_basis_is_the_reduced_basis(problem):
         assert ideal.is_unit_ideal()
     if not S.generators and not v.is_zero():
         assert ideal.is_zero_ideal() and ideal.groebner() == ()
+
+
+# -- colon ideals of finite-length quotients by linear algebra ---------------
+
+FINITE_LENGTH_RINGS = (
+    RingDescriptor.polynomial("rationals", ["x", "y"], "grevlex"),
+    RingDescriptor.polynomial("rationals", ["x", "y"], "lex"),
+    RingDescriptor.polynomial(5, ["x", "y"], "grevlex"),
+    RingDescriptor.polynomial(7, ["x", "y", "z"], "grevlex"),
+)
+
+
+def _pure_power(ring, rank, i, j, a):
+    """x_j^a * e_i in R^rank."""
+    exp = tuple(a if k == j else 0 for k in range(ring.nvars))
+    return FreeVector(ring, [ring.monomial(exp) if k == i else ring.zero()
+                             for k in range(rank)])
+
+
+@st.composite
+def finite_length_problems(draw):
+    """(ring, S, v) with R^rank/S of finite length: x_j^a * e_i is a
+    relation for every position i and variable x_j, with a = 2 or 3 in two
+    variables and a = 2 in three, shuffled in with up to two relations whose
+    entries are a variable times an entry of degree at most 1.  Every
+    relation vanishes at the origin, so v, with entries of degree at most 1,
+    seldom has the unit ideal as its colon.  (The elimination basis, the
+    oracle here, takes minutes on some rank-2 cases with a = 3 in three
+    variables.)"""
+    ring = draw(st.sampled_from(FINITE_LENGTH_RINGS))
+    rank = draw(st.integers(1, 2))
+    variables = [ring.var(name) for name in ring.variables]
+    entries = st.tuples(st.sampled_from(variables), elements(ring)).map(
+        lambda pair: pair[0] * pair[1])
+    relations = st.lists(entries, min_size=rank, max_size=rank).map(
+        lambda comps: FreeVector(ring, comps))
+    top = 3 if ring.nvars == 2 else 2
+    gens = [_pure_power(ring, rank, i, j, draw(st.integers(2, top)))
+            for i in range(rank) for j in range(ring.nvars)]
+    gens += draw(st.lists(relations, max_size=2))
+    v = FreeVector(ring, draw(st.lists(elements(ring), min_size=rank,
+                                       max_size=rank)))
+    return ring, SubmoduleHandle(ring, rank, draw(st.permutations(gens))), v
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(finite_length_problems())
+def test_finite_length_colon_is_the_elimination_basis(problem):
+    ring, S, v = problem
+    assert groebner._has_finite_length(S)
+    expected = [c.comps[0] for c in preimage([v], S).generators]
+    got = list(colon(S, v).generators)
+    assert got == expected
+    assert [str(g) for g in got] == [str(g) for g in expected]
+
+
+def _colon_paths(monkeypatch, call):
+    """Run call() and count its colons as (through preimage, through linear
+    algebra)."""
+    made, linear = [], []
+    real_colon = groebner.colon
+    real_linear = groebner._colon_finite_length
+
+    def spy_colon(S, v):
+        made.append(v)
+        return real_colon(S, v)
+
+    def spy_linear(S, v):
+        linear.append(v)
+        return real_linear(S, v)
+
+    monkeypatch.setattr(groebner, "colon", spy_colon)
+    monkeypatch.setattr(homalg, "colon", spy_colon)
+    monkeypatch.setattr(groebner, "_colon_finite_length", spy_linear)
+    call()
+    return len(made) - len(linear), len(linear)
+
+
+def _fixture_module(fixtures_dir, name):
+    m, _ = matrix_from_json(load_document(str(fixtures_dir / f"{name}.json")))
+    return homalg.FPModule.from_matrix(m)
+
+
+def test_colon_paths_of_the_filtration_search(fixtures_dir, monkeypatch):
+    # jordan_block over Q[x,y]: coker m has dimension 1, so the 20 stage-0
+    # colons take preimage; every later quotient has finite length
+    M = _fixture_module(fixtures_dir, "jordan_block")
+    assert _colon_paths(monkeypatch, lambda: search_minimal_cyclic_filtration(
+        M)) == (20, 51)
+    # Z[x] coefficients never take the linear-algebra path
+    N = _fixture_module(fixtures_dir, "triangular_int")
+    through_preimage, linear = _colon_paths(
+        monkeypatch, lambda: search_minimal_cyclic_filtration(N))
+    assert through_preimage > 0 and linear == 0
+    # nor does coker m itself
+    assert not groebner._has_finite_length(M.handle())
+    assert _colon_paths(monkeypatch, lambda: groebner.colon(
+        M.handle(), M.basis_vector(0))) == (1, 0)
+
+
+def test_finite_length_colon_rechecks_each_element(qxy, monkeypatch):
+    S = SubmoduleHandle(qxy, 1, [vec(qxy, "x^2"), vec(qxy, "y")])
+    assert ideal_strs(colon(S, vec(qxy, "1"))) == ["x^2", "y"]
+    real = groebner._colon_finite_length
+
+    def corrupted(S, v):
+        gens = real(S, v)
+        return [gens[0] - qxy.one()] + gens[1:]
+
+    monkeypatch.setattr(groebner, "_colon_finite_length", corrupted)
+    with pytest.raises(InternalInvariantError,
+                       match="colon element maps outside S"):
+        colon(S, vec(qxy, "1"))
+
+
+@pytest.mark.parametrize("gens, finite", [
+    ([["x^2", "0"], ["y", "0"], ["0", "x"], ["0", "y^3"]], True),
+    ([["x", "y"], ["0", "x"]], False),
+])
+def test_colon_edge_cases_on_both_paths(qxy, gens, finite):
+    S = SubmoduleHandle(qxy, 2, [vec(qxy, *g) for g in gens])
+    assert groebner._has_finite_length(S) == finite
+    assert colon(S, vec(qxy, "0", "0")).is_unit_ideal()
+    for bad in (vec(qxy, "x"), vec(qxy, "1", "x", "y")):
+        with pytest.raises(UsageError):
+            colon(S, bad)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagcert.errors import ParseError, UsageError
-from diagcert.rings import (RationalCoeffs, RingDescriptor, ZZ, exact_divide,
-                            gcd, lcm)
+from diagcert.rings import (RationalCoeffs, RingDescriptor, RingElement, ZZ,
+                            exact_divide, gcd, lcm)
 
 
 def rand_element(rng, ring, terms=3, degree=3, height=6):
@@ -146,6 +146,54 @@ def test_gcd_against_sympy(qxy):
         from diagcert.rings import RingElement
         expect = RingElement(qxy, terms).canonical_associate()[1]
         assert mine == expect, (str(a), str(b), str(mine), str(expect))
+
+
+GCD_RINGS = (
+    RingDescriptor.polynomial("integers", ["x"], "lex"),
+    RingDescriptor.polynomial("integers", ["x", "y"], "grevlex"),
+    RingDescriptor.polynomial("rationals", ["x", "y"], "grevlex"),
+)
+
+
+def _polynomial(rng, ring, degree, terms):
+    """At most `terms` terms of degree at most `degree` in each variable,
+    with nonzero coefficients in [-4, 4]; never zero."""
+    return RingElement(ring, {
+        tuple(rng.randint(0, degree) for _ in range(ring.nvars)):
+            ring.coeffs.from_int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+        for _ in range(terms)})
+
+
+@st.composite
+def gcd_problems(draw):
+    """(c*a, c*b) of degree at most 5 in each variable: c of degree at most
+    2, a and b of degree at most 3.  The terms come from a drawn Random,
+    because hypothesis' own integer draws favour small repeated values,
+    which give remainder sequences too short to go wrong."""
+    ring = draw(st.sampled_from(GCD_RINGS))
+    rng = draw(st.randoms(use_true_random=True))
+    c = _polynomial(rng, ring, 2, 3)
+    a, b = (_polynomial(rng, ring, 3, 4) for _ in "ab")
+    return c * a, c * b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gcd_problems())
+def test_gcd_with_a_common_factor_against_sympy(problem):
+    # long remainder sequences: the subresultant PRS must divide exactly
+    import sympy
+    a, b = problem
+    ring = a.ring
+    symbols = sympy.symbols(ring.variables)
+    domain = "ZZ" if ring.coeffs.name == "integers" else "QQ"
+
+    def to_sympy(e):
+        return sympy.Poly(str(e).replace("^", "**"), *symbols, domain=domain)
+
+    theirs = sympy.gcd(to_sympy(a), to_sympy(b))
+    expect = RingElement(ring, {tuple(exp): ring.coeffs.from_fraction(c.p, c.q)
+                                for exp, c in theirs.terms()})
+    assert gcd(a, b) == expect.canonical_associate()[1]
 
 
 def test_lcm_fixture(zz):
