@@ -437,27 +437,23 @@ def _try_obstruction(m: RingMatrix, det: RingElement):
     """An ObstructionRecord refuting every candidate diagonal, or None.
 
     Fitting ideals commute with base change, so a candidate whose images at
-    an integer point of the probe list differ from the input's is refuted;
-    only one that no point separates is compared over the ring.
+    a point of {0, 1, -1}^n differ from the input's is refuted; only one
+    that no point separates is compared over the ring.
     """
-    from .specialization import default_probes, fitting_images
+    from .specialization import fitting_images, points
     factorization = factor(det)
     if not factorization.complete:
         return None
     n = m.nrows
-    probes = default_probes(m.ring)
     matrix_images = {}    # filled when a candidate first reaches a point
     matrix_fitting = {}   # filled when a candidate first reaches index k
     refutations = []
     for cand in _diagonal_candidates(m.ring, factorization, n):
         cand_matrix = RingMatrix.diagonal(m.ring, list(cand))
         hit = None
-        for i, probe in enumerate(probes):
+        for i, point in enumerate(points(m.ring)):
             if hit is not None:
                 break
-            if "keep" in probe:
-                continue   # the full substitutions only
-            point = probe["substitute"]
             if i not in matrix_images:
                 matrix_images[i] = fitting_images(m.rows, point)
             lhs = matrix_images[i]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm as int_lcm
+from math import gcd, lcm as int_lcm
 
 from .errors import InternalInvariantError, UsageError
 from .rings import (IntegerCoeffs, PrimeFieldCoeffs, RationalCoeffs,
@@ -132,16 +132,7 @@ def _z_mul(a, b):
 
 
 def _z_content(c):
-    g = 0
-    for x in c:
-        g = _gcd_int(g, x)
-    return g if g else 1
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return gcd(*c) or 1
 
 
 def _z_exact_div(a, b):
@@ -193,7 +184,7 @@ def _kronecker_univariate(c, budget: _Budget):
         return [c]
     for q in q_divs:
         for p in p_divs:
-            if _gcd_int(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             for sp in (p, -p):
                 if _z_eval(c, Fraction(sp, q)) == 0:
@@ -410,9 +401,7 @@ def _kronecker_factor(a: RingElement, weights, base, budget: _Budget):
     fp = isinstance(dom, PrimeFieldCoeffs)
     work = a
     if isinstance(dom, RationalCoeffs):
-        denom = 1
-        for _, coeff in a._terms.items():
-            denom = denom * coeff.denominator // _gcd_int(denom, coeff.denominator)
+        denom = int_lcm(*(coeff.denominator for coeff in a._terms.values()))
         ints = a.scale(dom.from_int(denom))._terms
         cont = _z_content(list(ints.values()))
         work = RingElement(ring, {e: dom.from_int(c // cont) for e, c in ints.items()})
@@ -501,9 +490,7 @@ def factor(a: RingElement) -> FactorResult:
     unit = ring.one()
 
     if isinstance(dom, IntegerCoeffs):
-        cont = 0
-        for _, c in rest._terms.items():
-            cont = _gcd_int(cont, c)
+        cont = gcd(*rest._terms.values())
         if rest.leading_coeff() < 0:
             unit = ring.from_int(-1)
             rest = -rest

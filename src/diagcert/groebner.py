@@ -214,8 +214,8 @@ class _Engine:
         self._run()
 
     # bookkeeping -----------------------------------------------------------
-    def _tick(self, n=1):
-        self.steps_left -= n
+    def _tick(self):
+        self.steps_left -= 1
         if self.steps_left < 0:
             raise StepBudgetExceeded(
                 f"groebner step budget exhausted: steps={self.steps_limit}")

@@ -7,10 +7,12 @@ append generators to the relations.
 Verdicts are certified:
   * every Yes from is_isomorphic ships homs both ways, re-checked to be
     well defined and mutually inverse modulo relations;
-  * every No carries an invariant mismatch (Fitting ideal, annihilator, or a
-    finite specialization probe) that re-verifies independently; the
-    transpose test has no No, since none of these tells coker(m) from
-    coker(m^T);
+  * every No carries an invariant mismatch (a Fitting ideal or the
+    annihilator) that re-verifies independently; the transpose test has no
+    No, since neither tells coker(m) from coker(m^T).  Specializing to Z, a
+    field or a univariate PID adds no refutation: there a module is fixed
+    by its Fitting ideals, which commute with base change, so equal Fitting
+    ideals stay equal after any substitution;
   * Unknown is an honest output when the bounded candidate search runs out,
     never silently converted to No.
 """
@@ -487,39 +489,23 @@ def hom_module(M: FPModule, N: FPModule, bounds: Bounds = None) -> list:
 
 @dataclass(frozen=True)
 class Obstruction:
-    """A machine-checkable reason two modules cannot be isomorphic."""
+    """A machine-checkable reason two modules cannot be isomorphic: an
+    invariant ideal, by kind, that differs between them."""
 
-    kind: str                  # "fitting" | "annihilator" | "specialization"
+    kind: str                  # "fitting" | "annihilator"
     detail: dict
-    lhs_ideal: IdealHandle = None
-    rhs_ideal: IdealHandle = None
-    probe: dict = None
+    lhs_ideal: IdealHandle
+    rhs_ideal: IdealHandle
 
     def verify(self) -> bool:
         from . import verifier
-        if self.kind in ("fitting", "annihilator"):
-            return verifier.check_ideal_mismatch(self.lhs_ideal,
-                                                 self.rhs_ideal).valid
-        if self.kind == "specialization":
-            from .specialization import probe_signature
-            lhs = probe_signature(self.detail["lhs_module"], self.probe)
-            rhs = probe_signature(self.detail["rhs_module"], self.probe)
-            return lhs != rhs
-        return False
+        return verifier.check_ideal_mismatch(self.lhs_ideal,
+                                             self.rhs_ideal).valid
 
     def to_json(self):
-        out = {"kind": self.kind}
-        for key, value in self.detail.items():
-            if isinstance(value, FPModule):
-                continue
-            out[key] = value
-        if self.lhs_ideal is not None:
-            out["lhs_ideal"] = self.lhs_ideal.to_json()
-        if self.rhs_ideal is not None:
-            out["rhs_ideal"] = self.rhs_ideal.to_json()
-        if self.probe is not None:
-            out["probe"] = self.probe
-        return out
+        return {"kind": self.kind, **self.detail,
+                "lhs_ideal": self.lhs_ideal.to_json(),
+                "rhs_ideal": self.rhs_ideal.to_json()}
 
 
 @dataclass
@@ -650,8 +636,8 @@ def _iso_candidates(generators, ring, bounds: Bounds):
 
 def _obstructions(M: FPModule, N: FPModule):
     """Each invariant that tells M and N apart: the Fitting ideals by index,
-    the annihilator, then the specialization probes.  An invariant is
-    computed only when every earlier one agreed."""
+    then the annihilator.  An invariant is computed only when every earlier
+    one agreed."""
     # Fitting ideals are isomorphism invariants of the module
     for j in range(max(M.gens, N.gens) + 1):
         lhs = module_fitting_ideal(M, j)
@@ -663,15 +649,6 @@ def _obstructions(M: FPModule, N: FPModule):
     rhs_ann = annihilator(N)
     if lhs_ann != rhs_ann:
         yield Obstruction("annihilator", {}, lhs_ann, rhs_ann)
-
-    from .specialization import specialization_oracle
-    probe_hit = specialization_oracle(M, N)
-    if probe_hit.distinguished:
-        yield Obstruction("specialization",
-                          {"lhs_module": M, "rhs_module": N,
-                           "lhs_signature": probe_hit.lhs_signature,
-                           "rhs_signature": probe_hit.rhs_signature},
-                          probe=probe_hit.probe)
 
 
 @applies_bounds
@@ -743,20 +720,50 @@ class QGResult:
         return out
 
 
-def _signed_permutations(ring, n, include_signs=True):
-    """(Q, cols) for each signed permutation matrix Q, where cols[j] is
-    (i, negated): column j's one nonzero entry is Q[i][j], -1 when negated."""
-    from itertools import permutations, product
+def _signed_permutation_matrix(ring, perm, signs) -> RingMatrix:
+    """The matrix whose row i has its one nonzero entry in column perm[i]:
+    -1 where signs[i], else 1."""
     one = ring.one()
-    signs_pool = [False, True] if include_signs else [False]
+    rows = [[ring.zero()] * len(perm) for _ in perm]
+    for i, (j, negated) in enumerate(zip(perm, signs)):
+        rows[i][j] = -one if negated else one
+    return RingMatrix(ring, rows)
+
+
+def _signed_permutation_witness(m: RingMatrix) -> "EquivalenceCertificate | None":
+    """The first signed permutation matrices P, Q with P*m*Q = m^T, or None.
+
+    P runs over the permutations in lexicographic order, each with every
+    sign pattern when n <= 3, starting at the identity, which witnesses a
+    symmetric m.  Row i of P*m is row perm[i] of m, negated where signs[i].
+    Column j of m^T is row j of m, so Q must send column i of P*m to the
+    row of m that equals it, or its negation where signs are swept.  As m
+    is invertible over the fraction field, no two of its rows agree up to
+    sign, so that row is unique and Q is determined by P.  Where a row
+    equals its own negation (characteristic 2) Q takes the sign +1.
+    """
+    from itertools import permutations, product
+    ring, n = m.ring, m.nrows
+    signs_pool = (False, True) if n <= 3 else (False,)
+    signed_rows = {False: m.rows, True: (-m).rows}
+    match = {}   # a column of P*m -> (j, negated) with column j of m^T
+    for negated in reversed(signs_pool):
+        for j, row in enumerate(signed_rows[negated]):
+            match[tuple(row)] = (j, negated)
     for perm in permutations(range(n)):
         for signs in product(signs_pool, repeat=n):
-            rows = [[ring.zero()] * n for _ in range(n)]
-            cols = [None] * n
-            for i, (j, negated) in enumerate(zip(perm, signs)):
-                rows[i][j] = -one if negated else one
-                cols[j] = (i, negated)
-            yield RingMatrix(ring, rows), cols
+            pm = [signed_rows[s][r] for r, s in zip(perm, signs)]
+            q = [match.get(tuple(row[i] for row in pm)) for i in range(n)]
+            if None in q:
+                continue
+            cert = EquivalenceCertificate(
+                source=m, left=_signed_permutation_matrix(ring, perm, signs),
+                right=_signed_permutation_matrix(ring, *zip(*q)),
+                target=m.transpose())
+            if not cert.verify().valid:
+                raise InternalInvariantError("permutation certificate invalid")
+            return cert
+    return None
 
 
 def transpose_equivalence_from_diagonal(cert: EquivalenceCertificate) -> EquivalenceCertificate:
@@ -790,8 +797,8 @@ def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
     A verified matrix equivalence P*m*Q = m^T is the preferred witness; the
     bounded module-isomorphism search is the fallback.  Yes verdicts include
     the grade-one certification.  The answer is yes or unknown, never no:
-    no invariant is checked, because the Fitting ideals, the annihilator and
-    every specialization probe of coker(m) and coker(m^T) agree.
+    no invariant is checked, because the Fitting ideals and the annihilator
+    of coker(m) and coker(m^T) agree.
     """
     bounds = bounds or Bounds()
     if not m.is_square():
@@ -801,8 +808,6 @@ def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
         raise FullRankRequiredError("determinant is zero")
     if det.is_unit():
         raise DegenerateInputError("unit determinant presents the zero module")
-    ring = m.ring
-    mt = m.transpose()
 
     # grade = pd = 1: kernel of the transpose vanishes, cokernel does not
     hom_dual_sequence(m)
@@ -811,28 +816,16 @@ def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
         return QGResult("yes", matrix_certificate=cert, iso=iso,
                         grade_value=1, bounds=bounds)
 
-    # the sweep starts at (identity, identity), which witnesses a symmetric m
-    n = m.nrows
-    candidates = list(_signed_permutations(ring, n, include_signs=n <= 3))
-    neg_mt = -mt
-    for p, _ in candidates:
-        pm = p * m
-        for q, cols in candidates:
-            # column j of pm*q is column i of pm, negated where Q[i][j] = -1
-            if all((neg_mt if negated else mt).rows[r][j] == pm.rows[r][i]
-                   for j, (i, negated) in enumerate(cols) for r in range(n)):
-                cert = EquivalenceCertificate(source=m, left=p, right=q, target=mt)
-                check = cert.verify()
-                if not check.valid:
-                    raise InternalInvariantError("permutation certificate invalid")
-                return _yes(cert=cert)
+    cert = _signed_permutation_witness(m)
+    if cert is not None:
+        return _yes(cert=cert)
 
-    if ring.is_euclidean():
+    if m.ring.is_euclidean():
         snf = smith_normal_form(m)
         cert = transpose_equivalence_from_diagonal(snf.certificate)
         return _yes(cert=cert)
 
-    M, N = FPModule.from_matrix(m), FPModule.from_matrix(mt)
+    M, N = FPModule.from_matrix(m), FPModule.from_matrix(m.transpose())
     iso = _trivial_isomorphism(M, N) or _search_isomorphism(M, N, bounds)
     if iso.verdict == "yes":
         return _yes(iso=iso)

@@ -1,38 +1,21 @@
-"""Specialization probes: invariants of a module or a matrix after
-substituting integers for the variables.  They commute with base change, so
-a difference after substitution proves a difference over the ring itself.
+"""Fitting ideals of a matrix after substituting integers for the
+variables.  Fitting ideals commute with base change, so a difference after
+substitution proves a difference over the ring itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, product
 from operator import mul
-from typing import TYPE_CHECKING
 
-from .errors import UsageError
-from .linalg import RingMatrix
 from .rings import IntegerCoeffs, RingDescriptor
 
-if TYPE_CHECKING:
-    from .homalg import FPModule
 
-
-def default_probes(ring: RingDescriptor):
-    """Finite-quotient probes: every point of {0, 1, -1}^n, then, over field
-    coefficients with two or more variables, each substitution of all but one
-    variable, compared by elementary divisors over the univariate PID.  None
-    reduces modulo a prime power: that signature is a function of the one at
-    the same point, which comes first."""
-    values = (0, 1, -1)
-    probes = [{"substitute": dict(zip(ring.variables, combo))}
-              for combo in product(values, repeat=ring.nvars)]
-    if ring.coeffs.is_field and ring.nvars >= 2:
-        for keep in ring.variables:
-            rest = [v for v in ring.variables if v != keep]
-            probes.extend({"substitute": dict(zip(rest, combo)), "keep": keep}
-                          for combo in product(values, repeat=len(rest)))
-    return probes
+def points(ring: RingDescriptor):
+    """Every point of {0, 1, -1}^n as a map from variable name to integer,
+    in the order of product((0, 1, -1)); over Z the one empty point."""
+    for combo in product((0, 1, -1), repeat=ring.nvars):
+        yield dict(zip(ring.variables, combo))
 
 
 def _substitute_full(element, mapping):
@@ -47,22 +30,6 @@ def _substitute_full(element, mapping):
                 term = dom.mul(term, dom.from_int(mapping[idx] ** k))
         total = dom.add(total, term)
     return total
-
-
-def _substitute_keep(element, mapping, keep_idx, target):
-    """Substitute all variables except one; lands in a univariate ring."""
-    dom = element.ring.coeffs
-    acc = {}
-    for exp, coeff in element._terms.items():
-        term = coeff
-        for idx, k in enumerate(exp):
-            if idx == keep_idx or k == 0:
-                continue
-            term = dom.mul(term, dom.from_int(mapping[idx] ** k))
-        key = (exp[keep_idx],)
-        acc[key] = dom.add(acc.get(key, dom.zero()), term)
-    from .rings import RingElement
-    return RingElement(target, acc)
 
 
 def _rank(grid, dom):
@@ -136,76 +103,6 @@ def _int_invariant_factors(grid):
         factors.append(abs(pivot))
         t += 1
     return factors
-
-
-def probe_signature(M: FPModule, probe) -> dict:
-    """Canonical invariant of the finite quotient a probe produces."""
-    ring = M.ring
-    g = M.gens
-    sub_names = probe.get("substitute", {})
-    mapping = {}
-    for name, value in sub_names.items():
-        mapping[ring.var_index(name)] = value
-    keep = probe.get("keep")
-
-    if keep is not None:
-        keep_idx = ring.var_index(keep)
-        target = RingDescriptor.polynomial(ring.coeffs, [keep], "lex")
-        cols = [[_substitute_keep(v.comps[i], mapping, keep_idx, target)
-                 for v in M.relations] for i in range(g)]
-        if not M.relations:
-            return {"factors": [], "free_rank": g}
-        from .linalg import smith_normal_form as snf
-        mat = RingMatrix(target, cols)
-        form = snf(mat)
-        nontrivial = [str(d) for d in form.invariant_factors if not d.is_unit()]
-        return {"factors": nontrivial,
-                "free_rank": g - len(form.invariant_factors)}
-
-    if ring.coeffs.is_field:
-        if not M.relations:
-            return {"dim": g}
-        grid = [[_substitute_full(v.comps[i], mapping) for v in M.relations]
-                for i in range(g)]
-        rank = _rank(grid, ring.coeffs)
-        return {"dim": g - rank}
-
-    # integer coefficients: compare finitely generated abelian groups
-    if not M.relations:
-        factors, free_rank = [], g
-    else:
-        grid = [[int(_substitute_full(v.comps[i], mapping))
-                 for v in M.relations] for i in range(g)]
-        factors = _int_invariant_factors(grid)
-        free_rank = g - len(factors)
-    parts = sorted(d for d in factors if d > 1)
-    return {"parts": parts, "free_rank": free_rank}
-
-
-@dataclass(frozen=True)
-class SpecializationOutcome:
-    distinguished: bool
-    probe: dict = None
-    lhs_signature: dict = None
-    rhs_signature: dict = None
-
-
-def specialization_oracle(M: FPModule, N: FPModule) -> SpecializationOutcome:
-    """Sound negative witness: a probe under which the finite quotients of
-    M and N differ refutes any isomorphism.  Indistinguishable means no
-    conclusion."""
-    if M.ring != N.ring:
-        raise UsageError("modules over different rings")
-    for probe in default_probes(M.ring):
-        lhs = probe_signature(M, probe)
-        rhs = probe_signature(N, probe)
-        if lhs != rhs:
-            return SpecializationOutcome(True, probe, lhs, rhs)
-    return SpecializationOutcome(False)
-
-
-# ---------------------------------------------------------------------------
-# Fitting ideals under evaluation
 
 
 def fitting_images(rows, point) -> list:

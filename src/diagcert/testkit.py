@@ -1,9 +1,9 @@
 """Independent oracles and seeded generators for property-based acceptance.
 
 Nothing here shares algorithms with the code it checks: the invariant-factor
-oracle enumerates minors over plain Python integers.  The specialization
-probes are not here: they live in `specialization`, where the isomorphism
-test and the refutation of diagonal candidates use them.
+oracle enumerates minors over plain Python integers.  Fitting ideals at
+integer points are not here: they live in `specialization`, where the
+refutation of diagonal candidates uses them.
 """
 
 from __future__ import annotations

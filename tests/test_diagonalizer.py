@@ -567,7 +567,7 @@ def test_analyze_factors_the_determinant_once(fixtures_dir, monkeypatch):
 
 
 # sha256 of dumps(diagonalize(m).to_json()), taken when each candidate was
-# first evaluated at the points of {0, 1, -1}^n in the probe order; only
+# first evaluated at the points of {0, 1, -1}^n in product order; only
 # ("Z[x,y]", 3) has a candidate no point separates, refuted over the ring
 NO_PATH_DIGESTS = {
     ("jordan_block", 2):

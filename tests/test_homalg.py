@@ -211,9 +211,8 @@ def test_iso_z4_vs_klein(zz):
 
 def test_iso_annihilator_obstruction_stops_the_sweep(qxy, monkeypatch):
     # R/m^2 + R/m^2 and R/m^2 + R/(x^2, y^2) share every Fitting ideal but
-    # not the annihilator; the probes after it never run
+    # not the annihilator
     import diagcert.homalg as homalg
-    import diagcert.specialization as specialization
     from diagcert.errors import InternalInvariantError
 
     def cyclic(*gens):
@@ -222,11 +221,6 @@ def test_iso_annihilator_obstruction_stops_the_sweep(qxy, monkeypatch):
     square = cyclic("x^2", "x*y", "y^2")
     M = square.direct_sum(square)
     N = square.direct_sum(cyclic("x^2", "y^2"))
-
-    def unreachable(*args):
-        raise AssertionError("probes ran after the annihilator differed")
-
-    monkeypatch.setattr(specialization, "specialization_oracle", unreachable)
     iso = is_isomorphic(M, N)
     assert iso.verdict == "no" and iso.obstruction.kind == "annihilator"
     monkeypatch.setattr(homalg.Obstruction, "verify", lambda self: False)
@@ -244,6 +238,14 @@ def test_iso_jordan_vs_transpose(qxy):
     assert comp.is_identity_mod_relations()
     comp2 = iso.forward.compose(iso.inverse)
     assert comp2.is_identity_mod_relations()
+    # against diag(x, x), the first Fitting ideal (x, y) differs from (x)
+    dxx = RingMatrix.diagonal(qxy, [qxy.parse("x"), qxy.parse("x")])
+    iso = is_isomorphic(FPModule.from_matrix(m), FPModule.from_matrix(dxx))
+    assert iso.verdict == "no" and iso.obstruction.kind == "fitting"
+    assert iso.obstruction.detail["index"] == 1
+    assert ideal_strs(iso.obstruction.lhs_ideal) == ["x", "y"]
+    assert ideal_strs(iso.obstruction.rhs_ideal) == ["x"]
+    assert iso.obstruction.verify()
 
 
 def test_iso_yes_implies_fitting_equal(zz):
@@ -324,6 +326,82 @@ def test_qg_unknown_echoes_its_bounds(zx):
     assert result.verdict == "unknown"
     assert result.to_json() == {"verdict": "unknown",
                                 "bounds": bounds.to_json()}
+
+
+def _first_pair_by_products(m):
+    """Reference: the first (P, Q) with P*m*Q = m^T among signed permutation
+    matrices, each run over in lexicographic order with every sign pattern
+    when n <= 3, by forming every product."""
+    from itertools import permutations, product
+    ring, n = m.ring, m.nrows
+    signs_pool = (False, True) if n <= 3 else (False,)
+    mats = []
+    for perm in permutations(range(n)):
+        for signs in product(signs_pool, repeat=n):
+            rows = [[ring.zero()] * n for _ in range(n)]
+            for i, (j, negated) in enumerate(zip(perm, signs)):
+                rows[i][j] = -ring.one() if negated else ring.one()
+            mats.append(RingMatrix(ring, rows))
+    mt = m.transpose()
+    for p in mats:
+        pm = p * m
+        for q in mats:
+            if pm * q == mt:
+                return p, q
+    return None
+
+
+def test_qg_sweep_takes_the_first_pair_in_product_order():
+    import random
+    from diagcert.homalg import _signed_permutation_witness
+    rings = [RingDescriptor.polynomial(*spec) for spec in (
+        ("rationals", ["x", "y"], "grevlex"), ("integers", ["x"], "lex"),
+        (5, ["x"], "lex"), (2, ["x"], "lex"))]
+    rng = random.Random(23)
+    hits = 0
+    for t in range(64):
+        ring = rings[t % len(rings)]
+        n = 2 + t % 4 // 3  # 3 x 3 only where a pair is planted
+        pool = ["0", "1", "-1", "2", "x", "x + 1", "x^2"]
+        grid = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        if t % 2:  # a signed row permutation of a symmetric matrix
+            for i in range(n):
+                for j in range(i):
+                    grid[i][j] = grid[j][i]
+            rng.shuffle(grid)
+            grid = [[f"-({e})" if rng.random() < 0.3 else e for e in row]
+                    for row in grid]
+        m = RingMatrix.parse(ring, grid)
+        if determinant(m).is_zero():
+            continue
+        cert = _signed_permutation_witness(m)
+        assert _first_pair_by_products(m) == (
+            (cert.left, cert.right) if cert else None)
+        hits += cert is not None
+    assert hits > 20
+
+
+def test_qg_sweep_is_not_quadratic_in_the_pairs(monkeypatch):
+    # a 6 x 6 integer matrix no signed permutation pair takes to its
+    # transpose, so the Smith form decides it; a sweep that compares each
+    # of the 720^2 pairs (P, Q) makes over half a million comparisons
+    from diagcert.homalg import _signed_permutation_witness
+    from diagcert.rings import RingElement, ZZ
+    grid = [[str((3 * i * i + 5 * j + i * j) % 11 - 5) for j in range(6)]
+            for i in range(6)]
+    m = RingMatrix.parse(ZZ, grid)
+    assert _signed_permutation_witness(m) is None
+    calls = []
+    real = RingElement.__eq__
+
+    def counting(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(RingElement, "__eq__", counting)
+    result = is_quasi_gorenstein(m)
+    assert result.verdict == "yes" and result.matrix_certificate.verify().valid
+    assert len(calls) < 720 * 6
 
 
 # (ring, entries) of the matrices whose cokernel meets its transpose's

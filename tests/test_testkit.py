@@ -1,9 +1,7 @@
 import random
 
-from diagcert.homalg import FPModule
 from diagcert.linalg import RingMatrix, smith_normal_form, verify_certificate
-from diagcert.specialization import (default_probes, probe_signature,
-                                     specialization_oracle)
+from diagcert.specialization import points
 from diagcert.testkit import minors_gcd_snf_oracle, random_recipe, scramble
 
 
@@ -54,51 +52,15 @@ def test_scramble_replay_deterministic(qxy):
     assert verify_certificate(scramble(D, r1)[1]).valid
 
 
-def test_specialization_distinguishes_finite_groups(zz):
-    z4 = FPModule.from_matrix(RingMatrix.parse(zz, [["4"]]))
-    klein = FPModule.from_matrix(RingMatrix.parse(zz, [["2", "0"], ["0", "2"]]))
-    outcome = specialization_oracle(z4, klein)
-    assert outcome.distinguished
-    assert outcome.lhs_signature != outcome.rhs_signature
-
-
-def test_specialization_same_module(qxy, zz):
-    for M in (FPModule.from_matrix(RingMatrix.parse(zz, [["4"]])),
-              FPModule.from_matrix(RingMatrix.parse(qxy, [["x", "y"], ["0", "x"]]))):
-        assert not specialization_oracle(M, M).distinguished
-
-
-def test_specialization_jordan_vs_double_point(qxy):
-    # frozen regression: substituting y -> 0 makes the two modules agree
-    # (both become two copies of the x-axis double point), while y -> 1
-    # collapses one of them to a single fat point and tells them apart
-    jordan = FPModule.from_matrix(RingMatrix.parse(qxy, [["x", "y"], ["0", "x"]]))
-    dxx = FPModule.from_matrix(RingMatrix.parse(qxy, [["x", "0"], ["0", "x"]]))
-    keep_probe = {"substitute": {"y": 0}, "keep": "x"}
-    assert probe_signature(jordan, keep_probe) == probe_signature(dxx, keep_probe)
-    assert probe_signature(jordan, keep_probe) == {"factors": ["x", "x"],
-                                                   "free_rank": 0}
-    point_probe = {"substitute": {"x": 0, "y": 1}}
-    assert probe_signature(jordan, point_probe) == {"dim": 1}
-    assert probe_signature(dxx, point_probe) == {"dim": 2}
-    outcome = specialization_oracle(jordan, dxx)
-    assert outcome.distinguished
-
-
-def test_default_probes_are_the_points_then_keep_probes(zz, zx, qx, qxy, f5x):
+def test_points_follow_the_product_order(zz, zx, qx, qxy, f5x):
     from itertools import product
     from diagcert.rings import RingDescriptor
+    assert list(points(zz)) == [{}]
     zxy = RingDescriptor.polynomial("integers", ["x", "y"], "grevlex")
     f5xy = RingDescriptor.polynomial(5, ["x", "y"], "grevlex")
-    for ring in (zz, zx, qx, f5x, zxy, qxy, f5xy):
-        probes = default_probes(ring)
-        points = [dict(zip(ring.variables, combo))
-                  for combo in product((0, 1, -1), repeat=ring.nvars)]
-        assert probes[:len(points)] == [{"substitute": p} for p in points]
-        keeps = probes[len(points):]
-        if ring.coeffs.is_field and ring.nvars >= 2:
-            assert [p["keep"] for p in keeps] == ["x"] * 3 + ["y"] * 3
-            assert all(set(p) == {"substitute", "keep"} and
-                       p["keep"] not in p["substitute"] for p in keeps)
-        else:
-            assert keeps == []
+    for ring in (zx, qx, f5x, zxy, qxy, f5xy):
+        assert list(points(ring)) == [
+            dict(zip(ring.variables, combo))
+            for combo in product((0, 1, -1), repeat=ring.nvars)]
+    assert list(points(qxy))[:4] == [{"x": 0, "y": 0}, {"x": 0, "y": 1},
+                                     {"x": 0, "y": -1}, {"x": 1, "y": 0}]
