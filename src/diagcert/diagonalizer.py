@@ -247,8 +247,6 @@ class _Search:
                 return None
             if not self._plateau_escape():
                 return None
-            if self.budget < 0:
-                return None
 
     def _greedy_step(self) -> bool:
         current = _potential(self.rows)
@@ -397,8 +395,9 @@ def _diagonal_candidates(ring, factorization: FactorResult, n: int):
     A candidate is a multiset of n slot exponent vectors, one exponent per
     prime, summing to the multiplicities.  The multisets grow one prime at a
     time: splitting the next prime over two equal multisets gives the same
-    multisets again, so each is kept once.  Each slot's product is computed
-    once per exponent vector.
+    multisets again, so each is kept once.  The primes are pairwise
+    non-associate, so distinct multisets give distinct diagonals.  Each
+    slot's product is computed once per exponent vector.
     """
     primes = [p for p, _ in factorization.factors]
     shapes = {((),) * n}
@@ -421,14 +420,8 @@ def _diagonal_candidates(ring, factorization: FactorResult, n: int):
             products[vector] = e.canonical_associate()[1]
         return products[vector]
 
-    seen = set()
-    out = []
-    for shape in sorted(shapes):
-        entries = sorted((entry(v) for v in shape), key=lambda e: e.sort_key())
-        key = tuple(str(e) for e in entries)
-        if key not in seen:
-            seen.add(key)
-            out.append(tuple(entries))
+    out = [tuple(sorted((entry(v) for v in shape), key=lambda e: e.sort_key()))
+           for shape in shapes]
     out.sort(key=lambda cand: tuple(e.sort_key() for e in cand))
     return out
 

@@ -473,10 +473,6 @@ def factor(a: RingElement) -> FactorResult:
     factors = []
 
     if ring.nvars == 0 or a.is_constant():
-        if isinstance(dom, PrimeFieldCoeffs):
-            raise UsageError("nonzero constants are units here")
-        if isinstance(dom, RationalCoeffs):
-            raise UsageError("nonzero constants are units here")
         sign, fs, complete = factor_int(int(a.constant_coeff()))
         budget.spend(complete)
         factors = [(ring.from_int(p), m) for p, m in fs]

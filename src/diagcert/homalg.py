@@ -389,7 +389,10 @@ class ModuleHom:
 
     def certified_injective(self) -> bool:
         """True when the kernel provably lands inside the source relations."""
-        return _certify_injective(self)
+        columns = [self.column(q) for q in range(self.source.gens)]
+        src_handle = self.source.handle()
+        return all(src_handle.contains(c)[0]
+                   for c in preimage(columns, self.target.handle()).generators)
 
     def image_equals(self, generators) -> bool:
         """Does the image, modulo target relations, equal the span of the
@@ -572,14 +575,6 @@ def _monomials_of_degree(nvars, total):
     return out
 
 
-def _certify_injective(phi: ModuleHom):
-    """Kernel of the induced map lands inside the source relations."""
-    columns = [phi.column(q) for q in range(phi.source.gens)]
-    src_handle = phi.source.handle()
-    return all(src_handle.contains(c)[0]
-               for c in preimage(columns, phi.target.handle()).generators)
-
-
 def _certify_surjective(phi: ModuleHom):
     """Every target generator is hit; returns the preimage matrix or None."""
     ring = phi.source.ring
@@ -597,18 +592,22 @@ def _certify_surjective(phi: ModuleHom):
 
 
 def _try_iso(phi: ModuleHom) -> "tuple[ModuleHom, ModuleHom] | None":
-    if not phi.is_well_defined():
-        return None
+    """(phi, psi) when the well-defined phi is an isomorphism, else None.
+
+    psi sends each target generator to its surjectivity witness.  It is
+    accepted when it is well defined and psi o phi = id: a left inverse
+    makes phi injective.  When phi is bijective, psi agrees with phi^-1 on
+    the generators, so both checks hold and no kernel is computed.
+    """
     pre = _certify_surjective(phi)
     if pre is None:
         return None
-    if not _certify_injective(phi):
-        return None
     psi = ModuleHom(phi.target, phi.source, pre)
-    if not psi.is_well_defined():
-        raise InternalInvariantError("inverse of a certified iso is ill defined")
-    if not psi.compose(phi).is_identity_mod_relations():
-        raise InternalInvariantError("inverse fails on the source generators")
+    if not (psi.is_well_defined()
+            and psi.compose(phi).is_identity_mod_relations()):
+        return None
+    if not phi.is_well_defined():
+        raise InternalInvariantError("certified iso is ill defined")
     if not phi.compose(psi).is_identity_mod_relations():
         raise InternalInvariantError("inverse fails on the target generators")
     return phi, psi
@@ -683,7 +682,8 @@ def _trivial_isomorphism(M: FPModule, N: FPModule) -> "IsoResult | None":
 
 def _search_isomorphism(M: FPModule, N: FPModule, bounds: Bounds) -> IsoResult:
     """Yes with the first certified isomorphism among the first
-    bounds.iso_candidates candidate maps M -> N, else unknown."""
+    bounds.iso_candidates candidate maps M -> N, else unknown.  Each
+    candidate is an R-combination of well-defined hom_module generators."""
     generators = hom_module(M, N, bounds)
     candidates = _iso_candidates(generators, M.ring, bounds)
     for matrix in islice(candidates, bounds.iso_candidates):

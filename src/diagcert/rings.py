@@ -304,7 +304,7 @@ class RingDescriptor:
             raise UsageError(f"unknown monomial order {order!r}")
         seen = set()
         for name in variables:
-            if not name or not _NAME_RE.fullmatch(name):
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                 raise UsageError(f"bad variable name {name!r}")
             if name in seen:
                 raise UsageError(f"duplicate variable name {name!r}")
@@ -333,6 +333,8 @@ class RingDescriptor:
                 raise UsageError(f"unknown coefficient domain {coeffs!r}")
         elif isinstance(coeffs, int):
             coeffs = PrimeFieldCoeffs(coeffs)
+        elif not isinstance(coeffs, _CoeffDomain):
+            raise UsageError(f"unknown coefficient domain {coeffs!r}")
         return RingDescriptor("polynomial", coeffs, tuple(variables), order)
 
     # identity -------------------------------------------------------------
@@ -1032,21 +1034,15 @@ class IdealHandle:
     def principal_generator(self):
         """Generator when the ideal is principal, else None.
 
-        In a UFD the ideal is principal iff the gcd of its generators lies in
-        the ideal, which is checked by Groebner membership.
+        A nonzero ideal (g) has the reduced strong Groebner basis {g}: a
+        basis element whose lead divides lt(g) is a unit multiple of g, and
+        lt(g) divides every other lead.  So the ideal is principal iff its
+        reduced basis has one element.
         """
         gb = self.groebner()
         if not gb:
             return self.ring.zero()
-        if len(gb) == 1:
-            return gb[0]
-        g = gb[0]
-        for h in gb[1:]:
-            g = gcd(g, h)
-            if g.is_unit():
-                break
-        g = g.canonical_associate()[1]
-        return g if self.contains(g) else None
+        return gb[0] if len(gb) == 1 else None
 
     def sort_key(self):
         return tuple(g.sort_key() for g in self.groebner())

@@ -1,10 +1,14 @@
 """Independent certificate verification.
 
 This module is the trust anchor for every Yes verdict and for the evaluated
-Fitting ideals behind a No, so it deliberately shares no code with the
-construction paths beyond ring arithmetic: evaluation, matrix products and
-determinants are reimplemented here from scratch (cofactor expansion, no
-Bareiss, no Workbench).  It imports nothing from the package at import time.
+Fitting ideals behind a No.  Evaluation, matrix products and determinants
+are reimplemented here from scratch (cofactor expansion, no Bareiss, no
+Workbench), so equivalence certificates and evaluation refutations rest on
+ring arithmetic alone.  check_ideal_mismatch is the exception: it compares
+ideals through the Groebner engine (groebner.ideal_contains over
+IdealHandle.groebner()), so Groebner refutations and isomorphism
+obstructions rest on that engine too (ROADMAP.md, item 3, "No records that
+stand alone").  It imports nothing from the package at import time.
 The dependency runs the other way only: linalg's n <= 3 self-check of its
 Bareiss determinant calls _det here.
 """

@@ -9,7 +9,7 @@ from diagcert.cli import main, request_from_argv
 from diagcert.diagonalizer import analyze, diagonalize
 from diagcert.errors import StepBudgetExceeded
 from diagcert.filtration import sample_lattice, search_minimal_cyclic_filtration
-from diagcert.homalg import (FPModule, hom_module, is_isomorphic,
+from diagcert.homalg import (FPModule, ModuleHom, hom_module, is_isomorphic,
                              is_quasi_gorenstein)
 from diagcert.jsonio import dumps, load_document, matrix_from_json
 
@@ -89,8 +89,9 @@ def test_filtration_exit_codes(capsys, fixtures_dir):
 
 
 def test_filtration_where_the_sample_takes_gcds(tmp_path, capsys):
-    # principal_generator takes gcds of these annihilators over Z[x,y]; the
-    # subresultant remainder sequence once raised an internal invariant here
+    # principal_generator once took gcds of these annihilators over Z[x,y],
+    # and the subresultant remainder sequence raised an internal invariant;
+    # it now reads the reduced basis and takes no gcd
     doc = {"schema": "diagcert/1",
            "ring": {"kind": "polynomial", "coefficients": "integers",
                     "variables": ["x", "y"], "order": "grevlex"},
@@ -191,6 +192,65 @@ def test_diagonalize_subcommand(capsys, fixtures_dir):
                           str(fixtures_dir / "triangular_int.json"), "--json")
     assert code == 0
     assert json.loads(out)["diagonalize"]["verdict"] == "yes"
+
+
+# a 3 x 3 input over Z[x] whose module isomorphism needs its kernel proof
+# from the inverse: an injectivity elimination runs out of 20,000 steps
+ZX_QG_BY_ISOMORPHISM = {
+    "schema": "diagcert/1",
+    "ring": {"kind": "polynomial", "coefficients": "integers",
+             "variables": ["x"], "order": "lex"},
+    "matrix": [["2", "x + 1", "-x"], ["2", "x^2", "1"], ["-x", "2", "1"]]}
+
+
+def test_qg_isomorphism_under_a_tight_step_limit(tmp_path, capsys):
+    path = tmp_path / "zx.json"
+    path.write_text(dumps(ZX_QG_BY_ISOMORPHISM))
+    code, out, err = invoke(capsys, "qg", "--input", str(path), "--json",
+                            "--degree", "1", "--height", "1",
+                            "--steps", "20000")
+    assert (code, err) == (0, "")
+    report = json.loads(out)["quasi_gorenstein"]
+    assert report["verdict"] == "yes"
+    m = matrix_from_json(load_document(str(path)))[0]
+    M, N = FPModule.from_matrix(m), FPModule.from_matrix(m.transpose())
+    phi, psi = (ModuleHom(src, dst, [[m.ring.parse(e) for e in row]
+                                     for row in report["module_isomorphism"]
+                                     [key]["matrix"]])
+                for key, src, dst in (("forward", M, N), ("inverse", N, M)))
+    assert phi.is_well_defined() and psi.is_well_defined()
+    assert psi.compose(phi).is_identity_mod_relations()
+    assert phi.compose(psi).is_identity_mod_relations()
+
+
+MALFORMED_RINGS = [
+    {"kind": "polynomial", "coefficients": "integers", "variables": [1]},
+    {"kind": "polynomial", "variables": ["x"]},
+    {"kind": "polynomial", "coefficients": None, "variables": ["x"]},
+    {"kind": "polynomial", "coefficients": 2.5, "variables": ["x"]},
+    {"kind": "polynomial", "coefficients": ["integers"], "variables": ["x"]},
+]
+
+
+@pytest.mark.parametrize("subcommand", ["snf", "analyze", "qg", "diagonalize",
+                                        "filtration", "verify"])
+@pytest.mark.parametrize("ring", MALFORMED_RINGS, ids=[
+    "integer-variable", "no-coefficients", "null-coefficients",
+    "float-coefficients", "list-coefficients"])
+def test_malformed_ring_is_a_usage_error(tmp_path, capsys, fixtures_dir,
+                                         subcommand, ring):
+    if subcommand == "verify":
+        doc = json.loads(
+            (fixtures_dir / "triangular_int_certificate.json").read_text())
+    else:
+        doc = {"schema": "diagcert/1", "matrix": [["x", "1"], ["0", "x"]]}
+    doc["ring"] = ring
+    path = tmp_path / "bad.json"
+    path.write_text(dumps(doc))
+    code, out, err = invoke(capsys, subcommand, "--input", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_parse_error_reports_position(tmp_path, capsys):

@@ -604,6 +604,38 @@ def test_no_path_bytes_pinned(fixtures_dir, key, n):
     assert hashlib.sha256(text.encode()).hexdigest() == NO_PATH_DIGESTS[key, n]
 
 
+@pytest.mark.parametrize("key, n", sorted(NO_PATH_DIGESTS))
+def test_no_path_bytes_when_the_search_runs_out_first(fixtures_dir, key, n,
+                                                      obstruction_calls):
+    # one node runs out before the first stall, so the refutation runs after
+    # the search, and its record is the one the stall would have produced
+    import hashlib
+    if key == "jordan_block":
+        m = _fixture_matrix(fixtures_dir, "jordan_block.json")
+    else:
+        m = scrambled_core(key, n)
+    text = dumps(diagonalize(m, Bounds(search_nodes=1)).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == NO_PATH_DIGESTS[key, n]
+    assert len(obstruction_calls) == 1
+
+
+@pytest.mark.parametrize("ring_args, grid, unit", [
+    (("integers", ["x"], "lex"), [["-1", "x"], ["x", "0"]], "-1"),
+    (("rationals", ["x", "y"], "grevlex"), [["2", "x"], ["y", "0"]], "1/2"),
+])
+def test_search_clears_around_a_unit_entry(ring_args, grid, unit):
+    # the forced step scales the unit entry to 1, then clears its row and
+    # column; the certificate replays the column scaling
+    from diagcert.rings import RingDescriptor
+    ring = RingDescriptor.polynomial(*ring_args)
+    result = diagonalize(RingMatrix.parse(ring, grid))
+    assert result.verdict == "yes" and result.method == "elementary-search"
+    assert verify_certificate(result.certificate).valid
+    transcript = result.to_json()["certificate"]["transcript"]
+    assert transcript[0] == {"i": 0, "op": "col_scale", "unit": unit}
+    assert [str(d) for d in result.unit_diagonal_entries] == ["1"]
+
+
 # ---------------------------------------------------------------------------
 # property: scrambles with a known answer, over all four ring kinds
 

@@ -44,13 +44,15 @@ def test_multivariate_lift(qxy):
     assert as_strs(r) == sorted([("x + y", 1), ("x - 1", 2)]) and r.complete
 
 
-def test_zero_and_unit_rejected(zz, qx):
+def test_zero_and_unit_rejected(zz, qx, f5x):
     with pytest.raises(UsageError):
         factor(zz.zero())
     with pytest.raises(UsageError):
         factor(zz.from_int(1))
-    with pytest.raises(UsageError):
-        factor(qx.parse("3"))
+    # over a field every nonzero constant is a unit
+    for unit in (qx.parse("3"), f5x.parse("3")):
+        with pytest.raises(UsageError, match="cannot factor a unit"):
+            factor(unit)
 
 
 def test_remultiplication_random(qxy, zx):

@@ -248,6 +248,34 @@ def test_iso_jordan_vs_transpose(qxy):
     assert iso.obstruction.verify()
 
 
+def test_iso_search_computes_no_kernel(qxy, monkeypatch):
+    # the inverse built from the surjectivity witnesses proves injectivity,
+    # so no candidate runs a preimage elimination
+    from diagcert import homalg
+    m = RingMatrix.parse(qxy, [["x", "y"], ["0", "x"]])
+    M, N = FPModule.from_matrix(m), FPModule.from_matrix(m.transpose())
+    generators = hom_module(M, N)
+    surjective = []
+    real_surjective = homalg._certify_surjective
+
+    def certify_surjective(phi):
+        pre = real_surjective(phi)
+        surjective.append(pre is not None)
+        return pre
+
+    def no_preimage(*args):
+        raise AssertionError("a candidate ran a preimage elimination")
+
+    monkeypatch.setattr(homalg, "hom_module", lambda *args: generators)
+    monkeypatch.setattr(homalg, "_certify_surjective", certify_surjective)
+    monkeypatch.setattr(homalg, "preimage", no_preimage)
+    iso = homalg._search_isomorphism(M, N, Bounds())
+    assert iso.verdict == "yes" and surjective[-1]
+    assert iso.forward.is_well_defined() and iso.inverse.is_well_defined()
+    assert iso.inverse.compose(iso.forward).is_identity_mod_relations()
+    assert iso.forward.compose(iso.inverse).is_identity_mod_relations()
+
+
 def test_iso_yes_implies_fitting_equal(zz):
     z6 = FPModule.from_matrix(RingMatrix.parse(zz, [["6"]]))
     d23 = FPModule.from_matrix(RingMatrix.parse(zz, [["2", "0"], ["0", "3"]]))
@@ -449,12 +477,25 @@ def test_split_z4_not_split(zz):
     assert result.verdict == "not_split"
     assert result.obstruction.kind == "fitting"
     assert result.obstruction.verify()
+    obstruction = {"index": 1, "kind": "fitting",
+                   "lhs_ideal": {"generators": ["1"], "groebner": ["1"]},
+                   "rhs_ideal": {"generators": ["2", "4"], "groebner": ["2"]}}
+    assert result.to_json() == {
+        "verdict": "not_split", "obstruction": obstruction,
+        "isomorphism": {"verdict": "no", "obstruction": obstruction}}
 
 
 def test_split_coprime_cyclics(zz):
     d23 = FPModule.from_matrix(RingMatrix.parse(zz, [["2", "0"], ["0", "3"]]))
     result = split_test(d23, [vec(zz, "1", "0")])
     assert result.verdict == "split"
+    assert result.to_json() == {
+        "verdict": "split",
+        "isomorphism": {"verdict": "yes",
+                        "forward": {"matrix": [["1", "0"], ["0", "0"],
+                                               ["0", "1"]]},
+                        "inverse": {"matrix": [["1", "0", "0"],
+                                               ["0", "0", "1"]]}}}
 
 
 def test_split_block_diagonal(qxy):

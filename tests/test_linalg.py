@@ -168,6 +168,18 @@ def test_verify_rejects_non_unit_transform(zx):
     assert not check.valid and "unit" in check.reason
 
 
+@pytest.mark.parametrize("lhs, rhs, valid, reason", [
+    (["x"], ["x^2"], True, "x lies in the first ideal only"),
+    (["x^2"], ["x"], True, "x lies in the second ideal only"),
+    (["x", "x + x^2"], ["x"], False, "ideals are equal"),
+])
+def test_ideal_mismatch_check(zx, lhs, rhs, valid, reason):
+    from diagcert.verifier import check_ideal_mismatch
+    check = check_ideal_mismatch(IdealHandle(zx, [zx.parse(g) for g in lhs]),
+                                 IdealHandle(zx, [zx.parse(g) for g in rhs]))
+    assert (check.valid, check.reason) == (valid, reason)
+
+
 def test_inverse_unimodular(zx, qxy):
     for m in (RingMatrix.parse(zx, [["1", "-x - 1"], ["-3", "3*x + 4"]]),
               # no entry is a unit

@@ -196,6 +196,66 @@ def test_gcd_with_a_common_factor_against_sympy(problem):
     assert gcd(a, b) == expect.canonical_associate()[1]
 
 
+PRINCIPAL_RINGS = GCD_RINGS + (
+    RingDescriptor.polynomial(5, ["x", "y"], "grevlex"),)
+
+
+def _principal_by_gcd(ideal):
+    """Reference: in a UFD an ideal is principal iff the gcd of its reduced
+    basis lies in it, checked by Groebner membership."""
+    gb = ideal.groebner()
+    if not gb:
+        return ideal.ring.zero()
+    if len(gb) == 1:
+        return gb[0]
+    g = gb[0]
+    for h in gb[1:]:
+        g = gcd(g, h)
+    g = g.canonical_associate()[1]
+    return g if ideal.contains(g) else None
+
+
+@st.composite
+def ideals(draw):
+    """(c*a_1, ..., c*a_k), k <= 3, each a_i an integer, a variable or a
+    small polynomial, so that both principal ideals with several
+    generators, such as (2x, 3x) = (x) over Z[x], and non-principal ones,
+    such as (x, y), occur."""
+    from diagcert.rings import IdealHandle
+    ring = draw(st.sampled_from(PRINCIPAL_RINGS))
+    rng = draw(st.randoms(use_true_random=True))
+    c = _polynomial(rng, ring, 1, 2)
+    pool = [ring.from_int(k) for k in (1, 2, 3, -2)] + \
+        [ring.parse(v) for v in ring.variables] + \
+        [ring.parse(f"{v} + 1") for v in ring.variables]
+    cofactors = [rng.choice(pool) if rng.random() < 0.6
+                 else _polynomial(rng, ring, 1, 2)
+                 for _ in range(rng.randint(1, 3))]
+    return IdealHandle(ring, [c * a for a in cofactors])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(ideals())
+def test_principal_generator_agrees_with_the_gcd_test(ideal):
+    assert ideal.principal_generator() == _principal_by_gcd(ideal)
+
+
+@pytest.mark.parametrize("ring_key, gens, expect", [
+    ("Z[x]", ["2*x", "3*x"], "x"),
+    ("Z[x]", ["x", "x + 1"], "1"),
+    ("Z[x]", ["2", "x"], None),
+    ("Q[x,y]", ["x*y", "x^2"], None),
+    ("gf(5)[x,y]", ["x*y + y", "2*x + 2"], "x + 1"),
+])
+def test_principal_generator_of_several_generators(ring_key, gens, expect):
+    from diagcert.rings import IdealHandle
+    ring = {repr(r): r for r in PRINCIPAL_RINGS}[ring_key]
+    ideal = IdealHandle(ring, [ring.parse(g) for g in gens])
+    got = ideal.principal_generator()
+    assert (None if got is None else str(got)) == expect
+    assert got == _principal_by_gcd(ideal)
+
+
 def test_lcm_fixture(zz):
     assert lcm(zz.from_int(4), zz.from_int(6)) == zz.from_int(12)
 
