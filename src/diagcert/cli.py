@@ -244,9 +244,6 @@ def main(argv=None) -> int:
     except StepBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DiagcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,11 +37,12 @@ from .errors import (FullRankRequiredError, InternalInvariantError,
 from .factorize import FactorResult, factor
 from .filtration import (FiltrationSearchResult, filtration_from_decomposition,
                          search_minimal_cyclic_filtration)
-from .homalg import (FPModule, QGResult, is_quasi_gorenstein,
+from .homalg import (FPModule, QGResult, element_pool, is_quasi_gorenstein,
                      transpose_equivalence_from_diagonal)
 from .linalg import (ColAdd, ColScale, ColSwap, EquivalenceCertificate,
                      RingMatrix, RowAdd, RowSwap, Workbench, apply_in_place,
-                     determinant, fitting_ideal, inverse_unimodular)
+                     determinant, fitting_ideal, inverse_unimodular,
+                     smith_normal_form)
 from .rings import IdealHandle, RingElement
 
 
@@ -49,17 +50,16 @@ from .rings import IdealHandle, RingElement
 # potential function and elementary moves on plain grids
 
 
-def _coeff_size(dom, c) -> int:
+def _coeff_size(c) -> int:
     return max(abs(c.numerator).bit_length() + c.denominator.bit_length() - 1, 1)
 
 
 def _entry_weight(e: RingElement) -> int:
     if e.is_zero():
         return 0
-    dom = e.ring.coeffs
     w = 0
     for exp, c in e._terms.items():
-        w += 1 + sum(exp) + _coeff_size(dom, c)
+        w += 1 + sum(exp) + _coeff_size(c)
     return w
 
 
@@ -147,7 +147,6 @@ class _Search:
     """Bounded elementary-operation search on one matrix."""
 
     def __init__(self, m: RingMatrix, bounds: Bounds, on_stall=None):
-        from .homalg import element_pool
         self.ring = m.ring
         self.n = m.nrows
         self.budget = bounds.search_nodes
@@ -542,7 +541,6 @@ def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
         return _finish(bench.certificate(), "already-diagonal")
 
     if ring.is_euclidean():
-        from .linalg import smith_normal_form
         return _finish(smith_normal_form(m).certificate, "smith-normal-form")
 
     # refute the candidates once, when the search first stalls; a search

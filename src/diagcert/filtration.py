@@ -4,8 +4,12 @@ search, and the constructor that peels a diagonal decomposition.
 Reading pinned here (and echoed in every report):
   * the lattice is sampled as exactly the element annihilators Ann(x) for x
     over a bounded, canonically ordered coefficient pool;
-  * each class of a quotient, up to a unit, is annihilated once; the search's
-    first stage reuses the classes its sample was built from;
+  * the pool is enumerated only as far as bounds.sample_elements keeps it;
+  * each class of a quotient, up to a unit, is annihilated once, into one
+    table per quotient keyed by annihilator in order of first appearance;
+    the sample takes one entry per key, a search stage reads its admissible
+    and blocked ideals off the keys, and the first stage reuses the table
+    its sample was built from;
   * a filtration step is admissible when its cyclic quotient annihilator
     equals a sampled lattice ideal of the ambient module;
   * minimality is stagewise: a step is minimal when no sampled candidate at
@@ -36,16 +40,26 @@ SEARCH_DEPTH_LIMIT = 12
 
 def enumerate_elements(ring: RingDescriptor, rank: int, bounds: Bounds):
     """Canonically ordered nonzero vectors: integer coefficient combinations
-    first (by height then position), then single monomial multiples."""
+    first (by height then position), then single monomial multiples.
+
+    A combination is keyed by the positions of its values, and the
+    combinations are built one layer of largest key at a time, only until
+    the sample is full.
+    """
     pool = element_pool(ring, bounds)
     values = [ring.zero()] + pool[:2 * bounds.height]
     order = {v: i for i, v in enumerate(values)}
-    combos = [c for c in product(values, repeat=rank)
-              if any(not x.is_zero() for x in c)]
-    combos.sort(key=lambda c: (max(order[x] for x in c),
-                               sum(order[x] for x in c),
-                               tuple(order[x] for x in c)))
-    out = [FreeVector(ring, c) for c in combos]
+    out = []
+    for top in sorted(set(order.values())):
+        if len(out) >= bounds.sample_elements:
+            break
+        below = [v for v in values if order[v] <= top]
+        layer = [c for c in product(below, repeat=rank)
+                 if max(order[x] for x in c) == top
+                 and any(not x.is_zero() for x in c)]
+        layer.sort(key=lambda c: (sum(order[x] for x in c),
+                                  tuple(order[x] for x in c)))
+        out.extend(FreeVector(ring, c) for c in layer)
     for mono in pool[2 * bounds.height:]:
         for i in range(rank):
             comps = [ring.zero()] * rank
@@ -124,12 +138,13 @@ def _unit_pool(M: FPModule, bounds: Bounds):
     return out
 
 
-def _class_annihilators(Q: FPModule, vectors):
-    """(v, class, Ann) for the first v of each nonzero class of Q, in order;
-    a class is a normal form up to a unit, and Ann depends on nothing else."""
+def _class_table(Q: FPModule, vectors):
+    """{Ann: (v, classes)} over the nonzero classes of Q, keyed in order of
+    first appearance: v is the first vector with that annihilator, and
+    classes its distinct normal forms up to a unit, each annihilated once."""
     handle = Q.handle()
     seen = set()
-    out = []
+    table = {}
     for v in vectors:
         nf = handle.normal_form(v)
         if nf.is_zero():
@@ -137,21 +152,21 @@ def _class_annihilators(Q: FPModule, vectors):
         nf = _normalize_candidate(Q.ring, nf)
         if nf not in seen:
             seen.add(nf)
-            out.append((v, nf, element_annihilator(Q, nf)))
-    return out
+            table.setdefault(element_annihilator(Q, nf), (v, []))[1].append(nf)
+    return table
 
 
-def _lattice(M: FPModule, classes, bounds: Bounds) -> AnnihilatorSample:
-    """The unit entry, then the first entry of each new ideal."""
+def _lattice(M: FPModule, table, bounds: Bounds) -> AnnihilatorSample:
+    """The unit entry, then one entry per ideal of the table; a nonzero
+    class never has the unit ideal."""
     entries = []
     if M.gens:
         entries.append(SampleEntry(FreeVector.zero(M.ring, M.gens),
                                    IdealHandle(M.ring, [M.ring.one()]),
                                    True, M.ring.one()))
-    for v, _, ideal in classes:
-        if all(ideal != e.ideal for e in entries):
-            gen = ideal.principal_generator()
-            entries.append(SampleEntry(v, ideal, gen is not None, gen))
+    for ideal, (v, _) in table.items():
+        gen = ideal.principal_generator()
+        entries.append(SampleEntry(v, ideal, gen is not None, gen))
     return AnnihilatorSample(M, tuple(entries), bounds)
 
 
@@ -162,7 +177,7 @@ def sample_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSample:
     The enumeration is canonical, so the sample is reproducible.
     """
     bounds = bounds or Bounds()
-    return _lattice(M, _class_annihilators(M, _unit_pool(M, bounds)), bounds)
+    return _lattice(M, _class_table(M, _unit_pool(M, bounds)), bounds)
 
 
 @applies_bounds
@@ -174,7 +189,7 @@ def sample_basis_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSampl
     """
     bounds = bounds or Bounds()
     basis = [M.basis_vector(i) for i in range(M.gens)]
-    return _lattice(M, _class_annihilators(M, basis), bounds)
+    return _lattice(M, _class_table(M, basis), bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +376,6 @@ class FiltrationSearchResult:
         return out
 
 
-def _stage_candidates(classes, sample):
-    """Classes of the current quotient grouped as [ideal, classes] when the
-    ideal is sampled, plus the first (class, ideal) of each unsampled ideal."""
-    admissible = []
-    blocked = []
-    for _, nf, ideal in classes:
-        if sample.contains_ideal(ideal):
-            for group in admissible:
-                if group[0] == ideal:
-                    group[1].append(nf)
-                    break
-            else:
-                admissible.append([ideal, [nf]])
-        elif all(b[1] != ideal for b in blocked):
-            blocked.append((nf, ideal))
-    return admissible, blocked
-
-
 @applies_bounds
 def search_minimal_cyclic_filtration(M: FPModule,
                                      bounds: Bounds = None) -> FiltrationSearchResult:
@@ -388,26 +385,29 @@ def search_minimal_cyclic_filtration(M: FPModule,
     result for inspection."""
     bounds = bounds or Bounds()
     pool = _unit_pool(M, bounds)
-    classes = _class_annihilators(M, pool)
-    sample = _lattice(M, classes, bounds)
+    table = _class_table(M, pool)
+    sample = _lattice(M, table, bounds)
     rejected = []
-    state = {"depth_limited": False}
+    depth_limited = False
 
     def chain_strings(stages):
         return tuple(str(s.quotient_ideal) for s in stages)
 
     def recurse(current_gens, stages):
+        nonlocal depth_limited
         quotient = quotient_presentation(M, current_gens) if current_gens else M
         if quotient.is_zero():
             return CyclicFiltration(M, tuple(stages))
         if len(stages) >= SEARCH_DEPTH_LIMIT:
-            state["depth_limited"] = True
+            depth_limited = True
             return None
-        admissible, blocked = _stage_candidates(
-            _class_annihilators(quotient, pool) if current_gens else classes,
-            sample)
+        classes = _class_table(quotient, pool) if current_gens else table
+        admissible = [(ideal, elements)
+                      for ideal, (_, elements) in classes.items()
+                      if sample.contains_ideal(ideal)]
         stage_no = len(stages) + 1
         if not admissible:
+            # nothing is admissible, so every ideal of the table is blocked
             rejected.append(RejectedCandidate(
                 stage=stage_no,
                 chain_annihilators=chain_strings(stages),
@@ -415,26 +415,22 @@ def search_minimal_cyclic_filtration(M: FPModule,
                 annihilator={},
                 reason="dead_end",
                 detail={"blocked_annihilators":
-                        [b[1].to_json() for b in blocked]}))
+                        [ideal.to_json() for ideal in classes]}))
             return None
         minimal_layer = []
-        non_minimal = []
         for ideal, elements in admissible:
-            strictly_smaller = any(
-                other != ideal and other.is_subset_of(ideal)
-                for other, _ in admissible)
-            (minimal_layer if not strictly_smaller else non_minimal).append(
-                (ideal, elements))
-        for ideal, elements in non_minimal:
+            smaller = [other for other, _ in admissible
+                       if other is not ideal and other.is_subset_of(ideal)]
+            if not smaller:
+                minimal_layer.append((ideal, elements))
+                continue
             rejected.append(RejectedCandidate(
                 stage=stage_no,
                 chain_annihilators=chain_strings(stages),
                 element=tuple(str(c) for c in elements[0].comps),
                 annihilator=ideal.to_json(),
                 reason="not_minimal",
-                detail={"smaller_sampled": [
-                    other.to_json() for other, _ in admissible
-                    if other != ideal and other.is_subset_of(ideal)]}))
+                detail={"smaller_sampled": [o.to_json() for o in smaller]}))
         minimal_layer.sort(key=lambda g: g[0].sort_key())
         layer_json = [ideal.to_json() for ideal, _ in minimal_layer]
         for ideal, elements in minimal_layer:
@@ -461,4 +457,4 @@ def search_minimal_cyclic_filtration(M: FPModule,
         raise InternalInvariantError("search filtration failed verification")
     return FiltrationSearchResult(found=found, sample=sample,
                                   rejected=tuple(rejected), bounds=bounds,
-                                  depth_limited=state["depth_limited"])
+                                  depth_limited=depth_limited)

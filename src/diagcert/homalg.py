@@ -253,7 +253,7 @@ def ext(M: FPModule, i: int) -> FPModule:
     if i < 0:
         raise UsageError("ext index must be nonnegative")
     ring = M.ring
-    res = free_resolution(M, i + 1) if M.relations else FreeResolution(M, (), True)
+    res = free_resolution(M, i + 1)
     L = res.length
     if i > L:
         if not res.complete:
@@ -633,6 +633,18 @@ def _iso_candidates(generators, ring, bounds: Bounds):
                                              generators[t2].matrix)]
 
 
+def _unit_normal(matrix):
+    """The matrix scaled so that its first nonzero entry is canonical, as a
+    key shared by all its unit multiples; None for a zero matrix."""
+    for row in matrix:
+        for e in row:
+            if not e.is_zero():
+                dom = e.ring.coeffs
+                inv = dom.invert_unit(dom.canonical_unit(e.leading_coeff()))
+                return tuple(tuple(x.scale(inv) for x in r) for r in matrix)
+    return None
+
+
 def _obstructions(M: FPModule, N: FPModule):
     """Each invariant that tells M and N apart: the Fitting ideals by index,
     then the annihilator.  An invariant is computed only when every earlier
@@ -686,7 +698,13 @@ def _search_isomorphism(M: FPModule, N: FPModule, bounds: Bounds) -> IsoResult:
     candidate is an R-combination of well-defined hom_module generators."""
     generators = hom_module(M, N, bounds)
     candidates = _iso_candidates(generators, M.ring, bounds)
+    tried = set()
     for matrix in islice(candidates, bounds.iso_candidates):
+        # a unit multiple of a rejected map is no isomorphism either
+        key = _unit_normal(matrix)
+        if key is None or key in tried:
+            continue
+        tried.add(key)
         result = _try_iso(ModuleHom(M, N, matrix))
         if result is not None:
             return IsoResult("yes", *result)

@@ -62,9 +62,9 @@ def matrix_from_json(data) -> "tuple[RingMatrix, dict]":
     ring = RingDescriptor.from_json(data["ring"])
     matrix = _parse_grid(ring, data["matrix"], "$.matrix")
     claims = data.get("claims", {})
+    if not isinstance(claims, dict):
+        raise UsageError("$.claims: expected an object")
     if claims:
-        if not isinstance(claims, dict):
-            raise UsageError("$.claims: expected an object")
         allowed = {"diagonalizable", "transpose_equivalent"}
         _reject_unknown(claims, allowed, "$.claims")
         for key, value in claims.items():
@@ -89,10 +89,13 @@ def module_from_json(data) -> FPModule:
         raise UsageError("module document needs 'ring' and 'generators'")
     ring = RingDescriptor.from_json(data["ring"])
     gens = data["generators"]
-    if not isinstance(gens, int) or gens < 0:
+    if isinstance(gens, bool) or not isinstance(gens, int) or gens < 0:
         raise UsageError("$.generators: expected a nonnegative integer")
+    columns = data.get("relations", [])
+    if not isinstance(columns, list):
+        raise UsageError("$.relations: expected a list of columns")
     relations = []
-    for k, col in enumerate(data.get("relations", [])):
+    for k, col in enumerate(columns):
         if not isinstance(col, list) or len(col) != gens:
             raise UsageError(f"$.relations[{k}]: expected {gens} components")
         comps = []
@@ -117,8 +120,13 @@ def certificate_from_json(data) -> EquivalenceCertificate:
     left = _parse_grid(ring, data["left"], "$.left")
     right = _parse_grid(ring, data["right"], "$.right")
     target = _parse_grid(ring, data["target"], "$.target")
+    ops = data.get("transcript", [])
+    if not isinstance(ops, list):
+        raise UsageError("$.transcript: expected a list of operations")
     transcript = []
-    for k, op_data in enumerate(data.get("transcript", [])):
+    for k, op_data in enumerate(ops):
+        if not isinstance(op_data, dict):
+            raise UsageError(f"$.transcript[{k}]: malformed operation")
         try:
             transcript.append(op_from_json(ring, op_data))
         except (KeyError, TypeError):
@@ -139,6 +147,10 @@ def load_document(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}") from None

@@ -357,19 +357,27 @@ def apply_elementary(m: RingMatrix, op) -> RingMatrix:
 
 
 def op_from_json(ring: RingDescriptor, data) -> object:
+    """The operation a JSON object describes; KeyError for a missing field,
+    TypeError for an index that is not an integer."""
+    def index(key):
+        value = data[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{key!r} is not an integer")
+        return value
+
     kind = data.get("op")
     if kind == "row_swap":
-        return RowSwap(data["i"], data["j"])
+        return RowSwap(index("i"), index("j"))
     if kind == "col_swap":
-        return ColSwap(data["i"], data["j"])
+        return ColSwap(index("i"), index("j"))
     if kind == "row_add":
-        return RowAdd(data["dst"], data["src"], ring.parse(data["mult"]))
+        return RowAdd(index("dst"), index("src"), ring.parse(data["mult"]))
     if kind == "col_add":
-        return ColAdd(data["dst"], data["src"], ring.parse(data["mult"]))
+        return ColAdd(index("dst"), index("src"), ring.parse(data["mult"]))
     if kind == "row_scale":
-        return RowScale(data["i"], ring.parse(data["unit"]))
+        return RowScale(index("i"), ring.parse(data["unit"]))
     if kind == "col_scale":
-        return ColScale(data["i"], ring.parse(data["unit"]))
+        return ColScale(index("i"), ring.parse(data["unit"]))
     raise UsageError(f"unknown elementary operation {kind!r}")
 
 

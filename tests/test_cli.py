@@ -158,6 +158,27 @@ def test_qg_fallback_checks_no_invariant(capsys, fixtures_dir, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == TRIANGULAR_QG_SHA256
 
 
+
+def test_qg_tries_no_unit_multiple_twice(capsys, fixtures_dir, monkeypatch):
+    from diagcert import homalg
+    tried = []
+
+    def spy_try_iso(phi, _try_iso=homalg._try_iso):
+        tried.append(phi.matrix)
+        return _try_iso(phi)
+
+    monkeypatch.setattr(homalg, "_try_iso", spy_try_iso)
+    code, out, _ = invoke(capsys, "qg", "--input",
+                          str(fixtures_dir / "triangular_int.json"), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIANGULAR_QG_SHA256
+    assert tried
+    # over Z the units are 1 and -1
+    for i, a in enumerate(tried):
+        assert any(not e.is_zero() for row in a for e in row)
+        negated = tuple(tuple(-e for e in row) for row in a)
+        assert all(b not in (a, negated) for b in tried[i + 1:])
+
 # 3 x 3 inputs the signed permutation sweep decides: a symmetric one (hit at
 # the identity pair) and one whose transpose needs the reversal with a sign;
 # sha256 of the --json bytes, taken while the sweep formed every P*m*Q
@@ -252,6 +273,55 @@ def test_malformed_ring_is_a_usage_error(tmp_path, capsys, fixtures_dir,
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
 
+
+
+def _with(fixture, **fields):
+    return lambda fixtures_dir: dict(
+        json.loads((fixtures_dir / fixture).read_text()), **fields)
+
+
+CERTIFICATE = "triangular_int_certificate.json"
+MALFORMED_DOCUMENTS = {
+    "transcript-int": ("verify", _with(CERTIFICATE, transcript=5)),
+    "transcript-of-strings": ("verify",
+                              _with(CERTIFICATE, transcript=["row_swap"])),
+    "operation-index-not-int": ("verify", _with(CERTIFICATE, transcript=[
+        {"op": "row_swap", "i": "a", "j": [1]}])),
+    "operation-index-bool": ("verify", _with(CERTIFICATE, transcript=[
+        {"op": "col_add", "dst": True, "src": 0, "mult": "x"}])),
+    "relations-int": ("filtration", _with("z4.json", relations=5)),
+    "generators-bool": ("filtration", _with("z4.json", generators=True)),
+    "claims-false": ("analyze", _with("jordan_block.json", claims=False)),
+    "claims-list": ("analyze", _with("jordan_block.json", claims=[])),
+}
+SUBCOMMANDS = ["snf", "analyze", "qg", "diagonalize", "filtration", "verify"]
+
+
+def _usage_error(capsys, *argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_is_a_usage_error(tmp_path, capsys, fixtures_dir,
+                                             name):
+    subcommand, build = MALFORMED_DOCUMENTS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(build(fixtures_dir)))
+    _usage_error(capsys, subcommand, "--input", str(path))
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, subcommand, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"schema": "diagcert/1\xff"}')
+    _usage_error(capsys, subcommand, "--input", str(path))
 
 def test_parse_error_reports_position(tmp_path, capsys):
     doc = {"schema": "diagcert/1", "ring": {"kind": "integers"},

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from diagcert.homalg import (FPModule, annihilator, element_annihilator,
 from diagcert.jsonio import dumps, load_document, matrix_from_json, \
     module_from_json
 from diagcert.linalg import RingMatrix
-from diagcert.rings import IdealHandle
+from diagcert.rings import ZZ, IdealHandle, RingDescriptor
 from test_groebner import PROPERTY_RINGS, PROPERTY_SETTINGS, elements
 
 
@@ -348,3 +349,63 @@ def test_search_computes_no_basis_of_a_colon_ideal(fixtures_dir, monkeypatch):
     assert built
     assert not [gens for gens in basis_calls
                 if any(gens is ideal.generators for ideal in built)]
+
+
+def reference_enumerate_elements(ring, rank, bounds):
+    """The enumeration as first written: every integer combination is built
+    and sorted, then the sample is cut."""
+    pool = homalg.element_pool(ring, bounds)
+    values = [ring.zero()] + pool[:2 * bounds.height]
+    order = {v: i for i, v in enumerate(values)}
+    combos = [c for c in itertools.product(values, repeat=rank)
+              if any(not x.is_zero() for x in c)]
+    combos.sort(key=lambda c: (max(order[x] for x in c),
+                               sum(order[x] for x in c),
+                               tuple(order[x] for x in c)))
+    out = [FreeVector(ring, c) for c in combos]
+    for mono in pool[2 * bounds.height:]:
+        for i in range(rank):
+            comps = [ring.zero()] * rank
+            comps[i] = mono
+            out.append(FreeVector(ring, comps))
+    return out[:bounds.sample_elements]
+
+
+# over F_2, F_3 and F_5 distinct pool integers coincide, so the enumeration
+# repeats vectors; the repeats must survive in place
+ENUMERATION_RINGS = [
+    ZZ,
+    RingDescriptor.polynomial("rationals", ["x", "y"], "grevlex"),
+    RingDescriptor.polynomial(2, ["x"], "lex"),
+    RingDescriptor.polynomial(3, ["x", "y"], "grevlex"),
+    RingDescriptor.polynomial(5, ["x", "y"], "grevlex"),
+    RingDescriptor.polynomial("integers", ["x"], "lex"),
+]
+
+
+@pytest.mark.parametrize("ring", ENUMERATION_RINGS, ids=repr)
+def test_enumeration_matches_the_full_sort(ring):
+    for rank, height, degree in itertools.product(range(1, 6), range(1, 4),
+                                                  range(1, 3)):
+        full = reference_enumerate_elements(
+            ring, rank, Bounds(degree=degree, height=height,
+                               sample_elements=10 ** 9))
+        for kept in (1, 7, 40, 500):
+            bounds = Bounds(degree=degree, height=height, sample_elements=kept)
+            assert enumerate_elements(ring, rank, bounds) == full[:kept], \
+                (rank, height, degree, kept)
+
+
+def test_enumeration_builds_only_what_it_keeps(monkeypatch):
+    built = []
+
+    def counting_product(*args, **kwargs):
+        for combo in itertools.product(*args, **kwargs):
+            built.append(combo)
+            yield combo
+
+    monkeypatch.setattr(filtration, "product", counting_product)
+    out = enumerate_elements(ZZ, 8, Bounds())
+    assert len(out) == Bounds().sample_elements
+    # the full product would be 7^8 = 5,764,801 tuples
+    assert len(built) <= 10_000
