@@ -3,13 +3,13 @@
 Every bounded verdict (Unknown, NoneWithinBounds) echoes the Bounds object it
 was computed with, so reports are reproducible.
 
-The Groebner step limit is ambient rather than passed down, because Groebner
-work is also reached through ideal comparison operators, which cannot take a
-parameter.  Each public entry point that takes `bounds` and can reach the
-Groebner engine is wrapped in `applies_bounds`, which puts `bounds.steps` in a
-context variable for the duration of the call.  Outside any such call the
-limit is DEFAULT_STEPS.  Nothing else sets a limit: a run depends only on its
-arguments.
+One Bounds is in effect at a time, held in a context variable rather than
+passed down, because Groebner work is also reached through ideal comparison
+operators, which cannot take a parameter.  Each public entry point that takes
+`bounds` is wrapped in `applies_bounds`: it runs under its `bounds` argument,
+or under its caller's bounds when that argument is None.  Outside any such
+call, Bounds() is in effect.  Nothing else sets a limit: a run depends only on
+its arguments.
 """
 
 from __future__ import annotations
@@ -17,35 +17,34 @@ from __future__ import annotations
 import functools
 import inspect
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 DEFAULT_STEPS = 1_000_000
-
-_steps = ContextVar("diagcert_steps", default=DEFAULT_STEPS)
 
 
 def current_steps() -> int:
     """Step limit for one Groebner computation started now."""
-    return _steps.get()
+    bounds = _in_effect.get()
+    return bounds.steps
 
 
 def applies_bounds(fn):
-    """Run fn with the step limit of its `bounds` argument in effect.
-
-    A call with bounds=None keeps the limit of the enclosing call.
-    """
+    """Run fn with its `bounds` argument in effect; None means the bounds
+    already in effect, which fn then receives."""
     index = list(inspect.signature(fn).parameters).index("bounds")
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        bounds = args[index] if len(args) > index else kwargs.get("bounds")
-        if bounds is None:
-            return fn(*args, **kwargs)
-        token = _steps.set(bounds.steps)
+        args = list(args)
+        if len(args) > index:
+            args[index] = bounds = args[index] or _in_effect.get()
+        else:
+            kwargs["bounds"] = bounds = kwargs.get("bounds") or _in_effect.get()
+        token = _in_effect.set(bounds)
         try:
             return fn(*args, **kwargs)
         finally:
-            _steps.reset(token)
+            _in_effect.reset(token)
 
     return wrapper
 
@@ -68,13 +67,14 @@ class Bounds:
     search_nodes: int = 20_000
     iso_candidates: int = 4_000
     sample_elements: int = 500
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("degree", "height", "steps", "search_nodes",
-                     "iso_candidates", "sample_elements"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"bound {name!r} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"bound {f.name!r} must be positive")
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+_in_effect = ContextVar("diagcert_bounds", default=Bounds())

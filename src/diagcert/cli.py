@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .bounds import DEFAULT_STEPS, Bounds
+from .bounds import Bounds
 from .diagonalizer import analyze, diagonalize
 from .errors import (DiagcertError, InternalInvariantError,
                      StepBudgetExceeded, UsageError)
@@ -36,8 +36,7 @@ class CommandRequest:
 
 
 def _bounds_from_args(args) -> Bounds:
-    return Bounds(degree=args.degree, height=args.height,
-                  steps=args.steps, seed=args.seed)
+    return Bounds(degree=args.degree, height=args.height, steps=args.steps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,15 +59,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="path to the JSON input")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the JSON report instead of text")
-        p.add_argument("--degree", type=int, default=2,
-                       help="degree bound for coefficient pools (default 2)")
-        p.add_argument("--height", type=int, default=3,
-                       help="height bound for coefficient pools (default 3)")
-        p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+        p.add_argument("--degree", type=int, default=Bounds.degree,
+                       help="degree bound for coefficient pools "
+                            "(default %(default)s)")
+        p.add_argument("--height", type=int, default=Bounds.height,
+                       help="height bound for coefficient pools "
+                            "(default %(default)s)")
+        p.add_argument("--steps", type=int, default=Bounds.steps,
                        help="reduction steps allowed to each Groebner "
-                            f"computation (default {DEFAULT_STEPS})")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed echoed into reports (default 0)")
+                            "computation (default %(default)s)")
     return parser
 
 

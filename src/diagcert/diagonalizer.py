@@ -150,7 +150,9 @@ class _Search:
         self.ring = m.ring
         self.n = m.nrows
         self.budget = bounds.search_nodes
-        self.pool = element_pool(m.ring, bounds)
+        # over F_p with p <= 2 * height the pool repeats residues and holds 0
+        self.pool = [e for e in dict.fromkeys(element_pool(m.ring, bounds))
+                     if not e.is_zero()]
         self.ops = []
         self.rows = [list(r) for r in m.rows]
         self.frozen = 0      # rows/cols below this index are finished
@@ -512,7 +514,6 @@ class DiagonalizeResult:
 @applies_bounds
 def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
     """Decide equivalence of a full-rank square matrix to a diagonal matrix."""
-    bounds = bounds or Bounds()
     if not m.is_square():
         raise FullRankRequiredError("square matrix required")
     det = determinant(m)
@@ -627,7 +628,6 @@ class DiagnosisReport:
 def analyze(m: RingMatrix, bounds: Bounds = None, claims: dict = None) -> DiagnosisReport:
     """Run the full pipeline and cross-check the implications between the
     verdicts.  Violated implications become discrepancies, never silenced."""
-    bounds = bounds or Bounds()
     claims = dict(claims or {})
     report = DiagnosisReport(matrix=m, bounds=bounds, claims=claims)
     if not m.is_square():

@@ -26,8 +26,8 @@ from itertools import product
 from .bounds import Bounds, applies_bounds
 from .errors import InternalInvariantError, UsageError
 from .groebner import FreeVector
-from .homalg import (FPModule, element_annihilator, element_pool,
-                     quotient_presentation)
+from .homalg import (FPModule, _unit_normal, element_annihilator,
+                     element_pool, quotient_presentation)
 from .linalg import RingMatrix
 from .rings import IdealHandle, RingDescriptor, RingElement, divides
 
@@ -103,19 +103,6 @@ class AnnihilatorSample:
                 "entries": [e.to_json() for e in self.entries]}
 
 
-def _normalize_candidate(ring, vec: FreeVector) -> FreeVector:
-    """vec scaled so its first nonzero component has a canonical lead."""
-    dom = ring.coeffs
-    for c in vec.comps:
-        if not c.is_zero():
-            unit = dom.canonical_unit(c.leading_coeff())
-            if unit == dom.one():
-                return vec
-            inv = dom.invert_unit(unit)
-            return FreeVector(ring, (comp.scale(inv) for comp in vec.comps))
-    return vec
-
-
 def _unit_pool(M: FPModule, bounds: Bounds):
     """The element pool; over field coefficients, without the vectors that
     are unit multiples of an earlier one.
@@ -131,7 +118,7 @@ def _unit_pool(M: FPModule, bounds: Bounds):
     seen = set()
     out = []
     for v in pool:
-        key = _normalize_candidate(M.ring, v)
+        key = _unit_normal(v.comps)
         if key not in seen:
             seen.add(key)
             out.append(v)
@@ -147,9 +134,11 @@ def _class_table(Q: FPModule, vectors):
     table = {}
     for v in vectors:
         nf = handle.normal_form(v)
-        if nf.is_zero():
+        comps = _unit_normal(nf.comps)
+        if comps is None:
             continue
-        nf = _normalize_candidate(Q.ring, nf)
+        if comps is not nf.comps:
+            nf = FreeVector(Q.ring, comps)
         if nf not in seen:
             seen.add(nf)
             table.setdefault(element_annihilator(Q, nf), (v, []))[1].append(nf)
@@ -176,7 +165,6 @@ def sample_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSample:
 
     The enumeration is canonical, so the sample is reproducible.
     """
-    bounds = bounds or Bounds()
     return _lattice(M, _class_table(M, _unit_pool(M, bounds)), bounds)
 
 
@@ -187,7 +175,6 @@ def sample_basis_lattice(M: FPModule, bounds: Bounds = None) -> AnnihilatorSampl
     Used to verify decomposition-built filtrations, whose quotient ideals are
     basis-vector annihilators by construction.
     """
-    bounds = bounds or Bounds()
     basis = [M.basis_vector(i) for i in range(M.gens)]
     return _lattice(M, _class_table(M, basis), bounds)
 
@@ -383,7 +370,6 @@ def search_minimal_cyclic_filtration(M: FPModule,
     backtracking across candidates in the minimal layer.  Rejections are
     recorded: non-minimal candidates and dead-ended chains both appear in the
     result for inspection."""
-    bounds = bounds or Bounds()
     pool = _unit_pool(M, bounds)
     table = _class_table(M, pool)
     sample = _lattice(M, table, bounds)

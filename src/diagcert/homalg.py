@@ -633,15 +633,18 @@ def _iso_candidates(generators, ring, bounds: Bounds):
                                              generators[t2].matrix)]
 
 
-def _unit_normal(matrix):
-    """The matrix scaled so that its first nonzero entry is canonical, as a
-    key shared by all its unit multiples; None for a zero matrix."""
-    for row in matrix:
-        for e in row:
-            if not e.is_zero():
-                dom = e.ring.coeffs
-                inv = dom.invert_unit(dom.canonical_unit(e.leading_coeff()))
-                return tuple(tuple(x.scale(inv) for x in r) for r in matrix)
+def _unit_normal(entries):
+    """entries scaled so that the first nonzero one has a canonical leading
+    coefficient, as a key shared by all their unit multiples: entries itself
+    when it already has, None when every entry is zero."""
+    for e in entries:
+        if not e.is_zero():
+            dom = e.ring.coeffs
+            unit = dom.canonical_unit(e.leading_coeff())
+            if unit == dom.one():
+                return entries
+            inv = dom.invert_unit(unit)
+            return tuple(x.scale(inv) for x in entries)
     return None
 
 
@@ -665,7 +668,6 @@ def _obstructions(M: FPModule, N: FPModule):
 @applies_bounds
 def is_isomorphic(M: FPModule, N: FPModule, bounds: Bounds = None) -> IsoResult:
     """Certified isomorphism test; see the module docstring for the contract."""
-    bounds = bounds or Bounds()
     if M.ring != N.ring:
         raise UsageError("modules over different rings")
     trivial = _trivial_isomorphism(M, N)
@@ -701,7 +703,7 @@ def _search_isomorphism(M: FPModule, N: FPModule, bounds: Bounds) -> IsoResult:
     tried = set()
     for matrix in islice(candidates, bounds.iso_candidates):
         # a unit multiple of a rejected map is no isomorphism either
-        key = _unit_normal(matrix)
+        key = _unit_normal(tuple(e for row in matrix for e in row))
         if key is None or key in tried:
             continue
         tried.add(key)
@@ -818,7 +820,6 @@ def is_quasi_gorenstein(m: RingMatrix, bounds: Bounds = None) -> QGResult:
     no invariant is checked, because the Fitting ideals and the annihilator
     of coker(m) and coker(m^T) agree.
     """
-    bounds = bounds or Bounds()
     if not m.is_square():
         raise FullRankRequiredError("square matrix required")
     det = determinant(m)
@@ -874,7 +875,6 @@ class SplitResult:
 def split_test(M: FPModule, sub_generators, quotient: FPModule = None,
                bounds: Bounds = None) -> SplitResult:
     """Does M split as the given submodule plus its quotient?"""
-    bounds = bounds or Bounds()
     sub = submodule_presentation(M, sub_generators)
     quo = quotient if quotient is not None else quotient_presentation(M, sub_generators)
     total = sub.direct_sum(quo)

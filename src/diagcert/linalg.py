@@ -438,11 +438,29 @@ class EquivalenceCertificate:
     transcript: tuple = ()
 
     def verify(self):
-        """Checked once and kept on the instance: the fields are immutable."""
+        """Checked once and kept on the instance: the fields are immutable.
+        A transcript must also replay from source to left, right and target."""
         if "_check" not in self.__dict__:
-            object.__setattr__(self, "_check", verifier.check_equivalence(
-                self.left, self.source, self.right, self.target))
+            check = verifier.check_equivalence(
+                self.left, self.source, self.right, self.target)
+            if check and self.transcript:
+                check = self._replay()
+            object.__setattr__(self, "_check", check)
         return self._check
+
+    def _replay(self):
+        bench = Workbench(self.source)
+        for k, op in enumerate(self.transcript):
+            try:
+                bench.apply(op)
+            except UsageError as exc:
+                return verifier.CheckResult(False, f"transcript step {k}: {exc}")
+        replay = bench.certificate()
+        for name in ("left", "right", "target"):
+            if getattr(replay, name) != getattr(self, name):
+                return verifier.CheckResult(
+                    False, f"transcript does not reproduce {name}")
+        return verifier.CheckResult(True)
 
     def to_json(self) -> dict:
         out = {"ring": self.source.ring.to_json(),

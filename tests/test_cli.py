@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from diagcert import groebner, verifier
+from diagcert import filtration, groebner, verifier
 from diagcert.bounds import DEFAULT_STEPS, Bounds, current_steps
 from diagcert.cli import main, request_from_argv
 from diagcert.diagonalizer import analyze, diagonalize
@@ -75,6 +75,25 @@ def test_verify_valid_and_tampered(tmp_path, capsys, fixtures_dir):
     payload = json.loads(out)
     assert payload["verify"]["valid"] is False
     assert payload["verify"]["reason"]
+
+
+@pytest.mark.parametrize("transcript, reason", [
+    # a step the transforms do not contain
+    (lambda ops: ops + [{"op": "row_swap", "i": 0, "j": 1}],
+     "transcript does not reproduce left"),
+    # a step that cannot be applied to the source
+    (lambda ops: [{"op": "row_swap", "i": 5, "j": 1}],
+     "transcript step 0: elementary operation index out of range"),
+], ids=["extra-step", "step-out-of-range"])
+def test_verify_replays_the_transcript(tmp_path, capsys, fixtures_dir,
+                                       transcript, reason):
+    doc = json.loads((fixtures_dir / "triangular_int_certificate.json").read_text())
+    doc["transcript"] = transcript(doc["transcript"])
+    bad = tmp_path / "contradicting.json"
+    bad.write_text(dumps(doc))
+    code, out, _ = invoke(capsys, "verify", "--input", str(bad), "--json")
+    assert code == 0
+    assert json.loads(out)["verify"] == {"valid": False, "reason": reason}
 
 
 def test_filtration_exit_codes(capsys, fixtures_dir):
@@ -380,13 +399,17 @@ def test_certificate_json_roundtrip(fixtures_dir):
     assert dumps(certificate_to_json(again)) == dumps(certificate_to_json(cert))
 
 
-def test_request_parsing():
+def test_request_parsing(capsys):
     req = request_from_argv(["analyze", "--input", "x.json", "--json",
-                             "--degree", "3", "--height", "2", "--seed", "7"])
+                             "--degree", "3", "--height", "2"])
     assert req.subcommand == "analyze"
-    assert req.bounds.degree == 3 and req.bounds.height == 2
-    assert req.bounds.seed == 7
+    assert req.bounds == Bounds(degree=3, height=2)
     assert req.as_json
+    # the CLI's defaults are the defaults of Bounds
+    assert request_from_argv(["snf", "--input", "x.json"]).bounds == Bounds()
+    # nothing reads a seed, so there is no flag for one
+    assert main(["analyze", "--input", "x.json", "--seed", "7"]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [("--degree", "0"), ("--steps", "-3"),
@@ -466,6 +489,27 @@ def test_one_default_for_steps(fixtures_dir, monkeypatch, name):
     assert Bounds().steps == DEFAULT_STEPS
     assert verdict(call(Bounds())) == verdict(call(None))
     assert seen and set(seen) == {DEFAULT_STEPS}
+
+
+def test_nested_call_without_bounds_runs_under_its_callers(fixtures_dir,
+                                                            monkeypatch):
+    # analyze reaches sample_basis_lattice(M) through the decomposition of
+    # its diagonal, with no bounds of its own
+    doc = load_document(str(fixtures_dir / "triangular_int.json"))
+    m, _ = matrix_from_json(doc)
+    samples = []
+    real = filtration.sample_basis_lattice
+
+    def recording(*args, **kwargs):
+        samples.append(real(*args, **kwargs))
+        return samples[-1]
+
+    monkeypatch.setattr(filtration, "sample_basis_lattice", recording)
+    caller = Bounds(degree=1, steps=DEFAULT_STEPS - 1)
+    assert analyze(m, caller).diagonalizable.verdict == "yes"
+    assert samples and all(s.bounds == caller for s in samples)
+    # a top-level call without bounds runs under Bounds()
+    assert real(samples[0].module).bounds == Bounds()
 
 
 def test_step_bound_caps_each_computation(fixtures_dir):

@@ -337,6 +337,23 @@ def test_search_is_granted_the_echoed_node_limit(fixtures_dir, monkeypatch):
     assert granted.count(True) == 40
 
 
+@pytest.mark.parametrize("p, variables, distinct", [
+    (2, ("x",), 3), (3, ("x", "y"), 12), (5, ("x", "y"), 24)])
+def test_search_pool_holds_each_nonzero_multiplier_once(p, variables,
+                                                        distinct):
+    # over F_p with p <= 2 * height the element pool maps distinct integers
+    # to one residue, and a zero or repeated multiplier only spends nodes
+    import diagcert.diagonalizer as dz
+    from diagcert.homalg import element_pool
+    from diagcert.rings import RingDescriptor
+    ring = RingDescriptor.polynomial(p, variables, "grevlex")
+    pool = dz._Search(RingMatrix.identity(ring, 2), Bounds()).pool
+    assert len(pool) == len(set(pool)) == distinct
+    assert not any(e.is_zero() for e in pool)
+    assert set(pool) == {e for e in element_pool(ring, Bounds())
+                         if not e.is_zero()}
+
+
 def test_budget_error_in_early_refutation_waits_for_the_search(
         fixtures_dir, monkeypatch):
     # a refutation that runs out of Groebner steps at the stall must not

@@ -202,27 +202,28 @@ def fixture_module(fixtures_dir, name):
 
 
 # sha256 of the dumps bytes, taken while the sample, the basis sample and each
-# search stage still annihilated every pooled vector separately
+# search stage still annihilated every pooled vector separately; re-pinned
+# without the deleted `seed` key of each echoed `bounds` object
 PINNED_DIGESTS = {
     ("jordan_block", "sample_lattice"):
-        "c4161602e330590d9ef39ba76661cc2a17b8cf999aabeb5b2871124f8dc11d87",
+        "ba6a3f939b578d54e499eadd38d9d2b161d4bfe700dc1f3bf7108f1ab6784bf8",
     ("jordan_block", "sample_basis_lattice"):
-        "8637173bc534f42ace49528977f9ac9718ff21f75522f7cf11ff534d1af9edff",
+        "833fa5ac026e682136665299c80503b803b662876e3debc65b5bdc20bffb08e6",
     ("jordan_block", "search_minimal_cyclic_filtration"):
-        "9071c591fcbf50d20e38ec87134c61d7b8857d60884002c77f8c2368c8579970",
+        "8107ea2ffb458079058276bf5682e846829726e3aed85258758df2cfd15c896e",
     ("z4", "sample_lattice"):
-        "b6b8c6683ab4631747d05c2262dbc2bca6841c97a08ee39a1bbae590a8917015",
+        "6d6f1ccec63a81e299d866126b134213be316d331238d4fdc168018bee8b18d5",
     ("z4", "sample_basis_lattice"):
-        "403b36b76bd1fdfdcef5692cf75f6d37e2722aef5ca6887a867aee916d7f785c",
+        "52f3f1af48884e4ae88f5de6d18122f7bc2597b5977573598a2628949fc4f35b",
     ("z4", "search_minimal_cyclic_filtration"):
-        "0f2d1bb554bffcabde94c13448b2c65411d766384d293248ae13d0b73a24d307",
+        "aa20efa83de73a51e5c62db53f04310bfe61b888b9c81c7143e8f5c9265e1701",
     # taken before the pool dropped unit multiples over field coefficients
     ("f5_triangular", "sample_lattice"):
-        "785b95f73c1c7674417e46dd5a06f6686796e24734ba142ff764596a09472e72",
+        "1a681749e16f277fe05534a10ff46d1018dc62f78fddb9ac45feb8bbc01203d5",
     ("f5_triangular", "sample_basis_lattice"):
-        "1b73fedf07fc460d490c0165cc9d41beea53529d36776a829cd63f4d4845c9a3",
+        "e0b61bb9cbbbe9c9cc6cd3582b08ad272781f857cbfd3c44df2fb4f9b06c34bc",
     ("f5_triangular", "search_minimal_cyclic_filtration"):
-        "53adca2f7adc29b99684b008ac574a43c1f61ec4c3abb88009132b658ebed1b2",
+        "6532e8c5390d2f3df6461637e792ef4c10aa0dc523605702cd145fa09ee5b9c7",
 }
 
 
@@ -238,13 +239,14 @@ def test_filtration_bytes_pinned(fixtures_dir, name, function):
 # scramble 16 of the seed-1 analyze-full benchmark (a Q[x,y] core with one
 # add below the diagonal): four finite-length quotients of 17 to 20 classes
 # each, whose colons take the linear-algebra path; sha256 of the analyze
-# --json bytes, taken while every colon came from an elimination basis
+# --json bytes, taken while every colon came from an elimination basis, and
+# re-pinned without the deleted `seed` key of each echoed `bounds` object
 FINITE_LENGTH_ANALYZE = {
     "ring": {"kind": "polynomial", "coefficients": "rationals",
              "variables": ["x", "y"], "order": "grevlex"},
     "matrix": [["x", "y"], ["-2*x", "x - 2*y"]]}
 FINITE_LENGTH_ANALYZE_SHA256 = \
-    "9bfbfeb0637e955c5e7fafe3c2422caca94a7bfbcc81a6784236c0fbaf37d6ca"
+    "4a5969deee8fe9f9bc042044f33893b22ea5ba1e6b6e60f15f0a3c3f6d63cbe4"
 
 
 def test_finite_length_analyze_bytes_pinned(tmp_path, capsys):
@@ -262,7 +264,7 @@ def test_search_annihilates_each_class_once(fixtures_dir, monkeypatch):
     real_enumerate = filtration.enumerate_elements
 
     def counting_annihilator(Q, x):
-        cls = filtration._normalize_candidate(Q.ring, Q.handle().normal_form(x))
+        cls = filtration._unit_normal(Q.handle().normal_form(x).comps)
         annihilated.append((Q.relations, cls))
         return real_annihilator(Q, x)
 
@@ -284,7 +286,7 @@ def test_unit_pool_drops_unit_multiples_over_fields_only(fixtures_dir, zx):
     bounds = Bounds()
     full = enumerate_elements(M.ring, M.gens, bounds)
     pool = filtration._unit_pool(M, bounds)
-    classes = [filtration._normalize_candidate(M.ring, v) for v in pool]
+    classes = [filtration._unit_normal(v.comps) for v in pool]
     assert len(set(classes)) == len(pool) < len(full)
     rest = iter(full)      # the pool keeps the order of the enumeration
     assert all(any(v == w for w in rest) for v in pool)

@@ -19,6 +19,10 @@ somewhere in the package, the tests or the benchmark.  An attribute load or
 a string that is exactly the field name counts as a read; like the check
 above it goes by name.
 
+Every limit of `Bounds` is applied: each field is read somewhere in the
+package as an attribute of a name `bounds`.  Unlike the dataclass check, a
+field of another class that shares the name does not count.
+
 No module of the package imports `testkit`: the test oracles and generators
 never back a verdict.
 
@@ -28,9 +32,12 @@ arguments, and every limit it applies is one that `Bounds` reports.
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from diagcert.bounds import Bounds
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "diagcert"
@@ -171,6 +178,17 @@ def test_no_dead_fields():
             for cls, stmt in _dataclass_fields(trees[path])
             if stmt.target.id not in reads]
     assert not dead, f"dataclass fields read nowhere: {dead}"
+
+
+def test_every_bound_is_applied():
+    applied = {node.attr
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Load)
+               and isinstance(node.value, ast.Name) and node.value.id == "bounds"}
+    unread = [f.name for f in fields(Bounds) if f.name not in applied]
+    assert not unread, f"Bounds fields the package never reads: {unread}"
 
 
 def _imports_testkit(tree):
