@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
 from .bounds import Bounds, applies_bounds
 from .errors import (FullRankRequiredError, InternalInvariantError,
@@ -398,7 +399,7 @@ def _diagonal_candidates(ring, factorization: FactorResult, n: int):
     time: splitting the next prime over two equal multisets gives the same
     multisets again, so each is kept once.  The primes are pairwise
     non-associate, so distinct multisets give distinct diagonals.  Each
-    slot's product is computed once per exponent vector.
+    slot's product and its sort key are computed once per exponent vector.
     """
     primes = [p for p, _ in factorization.factors]
     shapes = {((),) * n}
@@ -411,20 +412,24 @@ def _diagonal_candidates(ring, factorization: FactorResult, n: int):
             splits.append(counts)
         shapes = {tuple(sorted(slot + (c,) for slot, c in zip(shape, counts)))
                   for shape in shapes for counts in splits}
-    products = {}
+    products = {}     # exponent vector -> (sort key, entry)
 
     def entry(vector):
         if vector not in products:
             e = ring.one()
             for p, k in zip(primes, vector):
-                e = e * p ** k
-            products[vector] = e.canonical_associate()[1]
+                if k:
+                    e = e * p ** k
+            e = e.canonical_associate()[1]
+            products[vector] = (e.sort_key(), e)
         return products[vector]
 
-    out = [tuple(sorted((entry(v) for v in shape), key=lambda e: e.sort_key()))
-           for shape in shapes]
-    out.sort(key=lambda cand: tuple(e.sort_key() for e in cand))
-    return out
+    out = []
+    for shape in shapes:
+        slots = sorted(map(entry, shape), key=itemgetter(0))
+        out.append((tuple(k for k, _ in slots), tuple(e for _, e in slots)))
+    out.sort(key=itemgetter(0))
+    return [cand for _, cand in out]
 
 
 def _try_obstruction(m: RingMatrix, det: RingElement):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import neg
+from operator import add, neg, sub
 
 from .errors import InternalInvariantError, ParseError, UsageError
 
@@ -339,7 +339,8 @@ class RingDescriptor:
 
     # identity -------------------------------------------------------------
     def __eq__(self, other):
-        return isinstance(other, RingDescriptor) and self._key == other._key
+        return self is other or (isinstance(other, RingDescriptor)
+                                 and self._key == other._key)
 
     def __hash__(self):
         return hash(self._key)
@@ -376,10 +377,10 @@ class RingDescriptor:
 
     # element constructors --------------------------------------------------
     def zero(self) -> "RingElement":
-        return RingElement(self, {})
+        return _element(self, {})
 
     def one(self) -> "RingElement":
-        return RingElement(self, {(0,) * self.nvars: self.coeffs.one()})
+        return _element(self, {(0,) * self.nvars: self.coeffs.one()})
 
     def from_int(self, n: int) -> "RingElement":
         c = self.coeffs.from_int(n)
@@ -450,15 +451,23 @@ ZZ = RingDescriptor.integers()
 
 
 class RingElement:
-    """A sparse, canonically normalized element of a RingDescriptor."""
+    """A sparse, canonically normalized element of a RingDescriptor.
 
-    __slots__ = ("ring", "_terms", "_sorted", "_hash")
+    Elements are immutable: the term map is written only by the constructors,
+    so the sorted terms, the hash and the sort key are cached on first use.
+    `RingElement(ring, terms)` copies `terms` without its zero coefficients;
+    the arithmetic below, which never produces a zero coefficient, hands its
+    freshly built map to `_element`, which keeps it as it is.
+    """
+
+    __slots__ = ("ring", "_terms", "_sorted", "_hash", "_sort_key")
 
     def __init__(self, ring: RingDescriptor, terms: dict):
         self.ring = ring
         self._terms = {e: c for e, c in terms.items() if c != 0}
         self._sorted = None
         self._hash = None
+        self._sort_key = None
 
     # basic views -----------------------------------------------------------
     def terms(self):
@@ -510,7 +519,7 @@ class RingElement:
     def _check(self, other):
         if not isinstance(other, RingElement):
             raise UsageError(f"cannot combine RingElement with {type(other).__name__}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise UsageError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
 
     def __add__(self, other):
@@ -518,64 +527,91 @@ class RingElement:
         dom = self.ring.coeffs
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = dom.add(out.get(e, dom.zero()), c)
-            if s == 0:
-                out.pop(e, None)
+            if e in out:
+                s = dom.add(out[e], c)
+                if s == 0:
+                    del out[e]
+                else:
+                    out[e] = s
             else:
-                out[e] = s
-        return RingElement(self.ring, out)
+                out[e] = c
+        return _element(self.ring, out)
 
     def __neg__(self):
         dom = self.ring.coeffs
-        return RingElement(self.ring, {e: dom.neg(c) for e, c in self._terms.items()})
+        return _element(self.ring, {e: dom.neg(c) for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        dom = self.ring.coeffs
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            c = dom.neg(c)
+            if e in out:
+                s = dom.add(out[e], c)
+                if s == 0:
+                    del out[e]
+                else:
+                    out[e] = s
+            else:
+                out[e] = c
+        return _element(self.ring, out)
 
     def __mul__(self, other):
         self._check(other)
-        dom = self.ring.coeffs
+        mul = self.ring.coeffs.mul
+        a, b = self._terms, other._terms
+        # Every coefficient domain is an integral domain, so a product of
+        # nonzero terms never vanishes: a single-term operand only scales the
+        # other's coefficients and shifts its exponents.
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((e2, c2),) = b.items()
+            if any(e2):
+                return _element(self.ring, {tuple(map(add, e1, e2)): mul(c1, c2)
+                                            for e1, c1 in a.items()})
+            return _element(self.ring, {e1: mul(c1, c2) for e1, c1 in a.items()})
+        dom_add = self.ring.coeffs.add
         out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = dom.mul(c1, c2)
-                s = dom.add(out.get(e, dom.zero()), prod)
-                if s == 0:
-                    out.pop(e, None)
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                prod = mul(c1, c2)
+                if e in out:
+                    s = dom_add(out[e], prod)
+                    if s == 0:
+                        del out[e]
+                    else:
+                        out[e] = s
                 else:
-                    out[e] = s
-        return RingElement(self.ring, out)
+                    out[e] = prod
+        return _element(self.ring, out)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise UsageError("exponent must be a nonnegative integer")
-        result = self.ring.one()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.ring.one() if result is None else result
 
     def scale(self, coeff) -> "RingElement":
         dom = self.ring.coeffs
         return RingElement(self.ring,
                            {e: dom.mul(c, coeff) for e, c in self._terms.items()})
 
-    def mul_monomial(self, exp, coeff) -> "RingElement":
-        dom = self.ring.coeffs
-        out = {}
-        for e, c in self._terms.items():
-            out[tuple(a + b for a, b in zip(e, exp))] = dom.mul(c, coeff)
-        return RingElement(self.ring, out)
-
     # identity --------------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self._terms == other._terms)
 
     def __hash__(self):
         if self._hash is None:
@@ -584,9 +620,12 @@ class RingElement:
 
     def sort_key(self):
         """Canonical total order on elements of one ring (for deterministic output)."""
-        key = self.ring.monomial_key
-        return (self.total_degree(), len(self._terms),
-                tuple((key(e), self.ring.coeffs.sort_key(c)) for e, c in self.terms()))
+        if self._sort_key is None:
+            key = self.ring.monomial_key
+            coeff_key = self.ring.coeffs.sort_key
+            self._sort_key = (self.total_degree(), len(self._terms),
+                              tuple((key(e), coeff_key(c)) for e, c in self.terms()))
+        return self._sort_key
 
     def __repr__(self):
         return f"<{self} over {self.ring!r}>"
@@ -611,8 +650,9 @@ class RingElement:
             return self.ring.one(), self
         dom = self.ring.coeffs
         u = dom.canonical_unit(self.leading_coeff())
-        unit = self.ring.from_coeff(u)
-        return unit, self.scale(dom.invert_unit(u))
+        if u == 1:
+            return self.ring.one(), self
+        return self.ring.from_coeff(u), self.scale(dom.invert_unit(u))
 
     def invert_unit(self) -> "RingElement":
         if not self.is_unit():
@@ -621,12 +661,24 @@ class RingElement:
         return self.ring.from_coeff(self.ring.coeffs.invert_unit(c))
 
 
+def _element(ring: RingDescriptor, terms: dict) -> RingElement:
+    """The element with term map `terms`, which the caller has just built,
+    holds no zero coefficient, and hands over: it is kept, not copied."""
+    out = RingElement.__new__(RingElement)
+    out.ring = ring
+    out._terms = terms
+    out._sorted = None
+    out._hash = None
+    out._sort_key = None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # ring-level operations
 
 
 def _require_same_ring(a: RingElement, b: RingElement):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise UsageError(f"ring mismatch: {a.ring!r} vs {b.ring!r}")
 
 
@@ -641,20 +693,30 @@ def exact_divide(a: RingElement, b: RingElement):
     if a.is_zero():
         return a.ring.zero()
     dom = a.ring.coeffs
+    key = a.ring.monomial_key
     eb, cb = b.leading_term()
-    rest = a
+    divisor = b._terms.items()
+    rest = dict(a._terms)    # the remainder, updated in place
     quo = {}
-    while not rest.is_zero():
-        er, cr = rest.leading_term()
-        diff = tuple(x - y for x, y in zip(er, eb))
-        if any(d < 0 for d in diff):
+    while rest:
+        er = max(rest, key=key)
+        diff = tuple(map(sub, er, eb))
+        if min(diff, default=0) < 0:
             return None
-        q = dom.exact_div(cr, cb)
+        q = dom.exact_div(rest[er], cb)
         if q is None:
             return None
         quo[diff] = q
-        rest = rest - b.mul_monomial(diff, q)
-    result = RingElement(a.ring, quo)
+        for e, c in divisor:
+            e = tuple(map(add, e, diff))
+            s = dom.neg(dom.mul(c, q))
+            if e in rest:
+                s = dom.add(rest[e], s)
+                if s == 0:
+                    del rest[e]
+                    continue
+            rest[e] = s
+    result = _element(a.ring, quo)
     if b * result != a:
         raise InternalInvariantError("exact_divide verification failed")
     return result

@@ -4,13 +4,15 @@ This module is the trust anchor for every Yes verdict and for the evaluated
 Fitting ideals behind a No.  Evaluation, matrix products and determinants
 are reimplemented here from scratch (cofactor expansion, no Bareiss, no
 Workbench), so equivalence certificates and evaluation refutations rest on
-ring arithmetic alone.  check_ideal_mismatch is the exception: it compares
-ideals through the Groebner engine (groebner.ideal_contains over
-IdealHandle.groebner()), so Groebner refutations and isomorphism
-obstructions rest on that engine too (ROADMAP.md, item 3, "No records that
-stand alone").  It imports nothing from the package at import time.
-The dependency runs the other way only: linalg's n <= 3 self-check of its
-Bareiss determinant calls _det here.
+ring arithmetic alone.  An evaluated matrix has its entries in the
+coefficient domain (an int, a rational or a residue mod p), so its minors
+are expanded by cofactors over those scalars, not over ring elements.
+check_ideal_mismatch is the exception: it compares ideals through the
+Groebner engine (groebner.ideal_contains over IdealHandle.groebner()), so
+Groebner refutations and isomorphism obstructions rest on that engine too
+(ROADMAP.md, item 3, "No records that stand alone").  It imports nothing
+from the package at import time.  The dependency runs the other way only:
+linalg's n <= 3 self-check of its Bareiss determinant calls _det here.
 """
 
 from __future__ import annotations
@@ -62,6 +64,33 @@ def _det(ring, a):
     return acc
 
 
+def _scalar_det(a):
+    """Cofactor expansion of a grid of coefficient scalars, over the integers
+    or the rationals; a residue grid gives an integer to reduce mod p."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    acc = 0
+    for j, x in enumerate(a[0]):
+        if x:
+            term = x * _scalar_det([row[:j] + row[j + 1:] for row in a[1:]])
+            acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _evaluate(element, values, dom):
+    """The value of element in its coefficient domain dom at the point
+    given by values, one integer per variable in the ring's order."""
+    total = 0
+    for exp, coeff in element.terms():
+        for v, j in zip(values, exp):
+            coeff *= v ** j
+        total += coeff
+    return dom.from_int(total)
+
+
 def check_equivalence(left, source, right, target) -> CheckResult:
     """Valid iff det(left), det(right) are units and left*source*right == target."""
     ring = source.ring
@@ -101,22 +130,15 @@ def fitting_image(matrix, point, k):
     n = len(matrix.rows)
     if sorted(point or ()) != sorted(ring.variables) or not 0 < k <= n:
         return None
-    a = []
-    for row in matrix.rows:
-        a.append([])
-        for e in row:
-            value = ring.zero()
-            for exp, coeff in e.terms():
-                for name, j in zip(ring.variables, exp):
-                    coeff *= point[name] ** j
-                value = value + ring.from_int(coeff)
-            a[-1].append(value)
+    dom = ring.coeffs
+    values = [point[name] for name in ring.variables]
+    a = [[_evaluate(e, values, dom) for e in row] for row in matrix.rows]
     image = 0
     for rows in combinations(range(n), k):
         for cols in combinations(range(n), k):
-            minor = _det(ring, [[a[i][j] for j in cols] for i in rows])
-            image = gcd(image, int(not minor.is_zero()) if ring.coeffs.is_field
-                        else minor.constant_coeff())
+            minor = dom.from_int(_scalar_det([[a[i][j] for j in cols]
+                                              for i in rows]))
+            image = gcd(image, int(minor != 0) if dom.is_field else minor)
             if image == 1:
                 return 1
     return image

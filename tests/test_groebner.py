@@ -328,7 +328,8 @@ def dense_normal_form(ring, basis, vec):
         else:
             _, idx, q = best
             delta = tuple(a - b for a, b in zip(exp, leads[idx][1]))
-            work = work - FreeVector(ring, [c.mul_monomial(delta, q)
+            shift = ring.monomial(delta, q)
+            work = work - FreeVector(ring, [c * shift
                                             for c in basis[idx].comps])
             combo[idx] = combo.get(idx, ring.zero()) + ring.monomial(delta, q)
     return remainder, combo, steps

@@ -28,6 +28,11 @@ never back a verdict.
 
 No module of the package reads the environment: a run depends only on its
 arguments, and every limit it applies is one that `Bounds` reports.
+
+No module of the package writes into a `RingElement`'s term map `._terms`,
+by assignment, deletion or a mutating dict method, outside the two
+constructors in rings.py: elements cache their sorted terms, hash and sort
+key, which a later write would leave stale.
 """
 
 import ast
@@ -230,3 +235,49 @@ def test_no_module_reads_the_environment():
     readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
                if _reads_environment(ast.parse(path.read_text(encoding="utf-8")))]
     assert not readers, f"modules reading the environment: {readers}"
+
+
+# where rings.py builds an element's term map
+TERM_MAP_CONSTRUCTORS = {"RingElement.__init__", "_element"}
+DICT_MUTATORS = {"__setitem__", "__delitem__", "__ior__", "clear", "pop",
+                 "popitem", "setdefault", "update"}
+
+
+def _term_map_writes(tree):
+    """(line, qualified name of the enclosing function) of each write into
+    an attribute `_terms` or into the map it holds."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            written = None
+            if isinstance(child, ast.Attribute) and \
+                    isinstance(child.ctx, (ast.Store, ast.Del)):
+                written = child
+            elif isinstance(child, ast.Subscript) and \
+                    isinstance(child.ctx, (ast.Store, ast.Del)):
+                written = child.value
+            elif isinstance(child, ast.Call) and \
+                    isinstance(child.func, ast.Attribute) and \
+                    child.func.attr in DICT_MUTATORS:
+                written = child.func.value
+            if isinstance(written, ast.Attribute) and written.attr == "_terms":
+                yield child.lineno, scope
+            yield from walk(child, inner)
+    yield from walk(tree, "")
+
+
+def test_term_maps_are_written_only_by_the_constructors():
+    probe = ast.parse("def f(a):\n    a._terms[(1,)] = 2\n"
+                      "    del a._terms[(1,)]\n    a._terms.update({})\n"
+                      "    a._terms = {}\n    a._terms |= {}\n")
+    assert len(list(_term_map_writes(probe))) == 5
+    writes = [f"{path.name}:{line} in {scope or 'module'}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for line, scope in _term_map_writes(
+                  ast.parse(path.read_text(encoding="utf-8")))
+              if not (path.name == "rings.py"
+                      and scope in TERM_MAP_CONSTRUCTORS)]
+    assert not writes, f"writes into a RingElement term map: {writes}"

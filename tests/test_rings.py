@@ -412,3 +412,171 @@ def test_rational_parse_and_print_round_trip(qxy, text, shown):
     assert qxy.parse(shown) == element
     for _, coeff in element.terms():
         _assert_rational(coeff)
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic kernel against the plain algorithms it replaces
+
+KERNEL_RINGS = (ZZ,
+                RingDescriptor.polynomial("integers", ["x"], "lex"),
+                RingDescriptor.polynomial("integers", ["x", "y"], "grevlex"),
+                RingDescriptor.polynomial("rationals", ["x", "y"], "grevlex"),
+                RingDescriptor.polynomial(5, ["x", "y"], "lex"),
+                RingDescriptor.polynomial(2, ["x"], "lex"))
+
+
+def _ref_add(a, b):
+    dom = a.ring.coeffs
+    out = dict(a._terms)
+    for e, c in b._terms.items():
+        s = dom.add(out.get(e, dom.zero()), c)
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return RingElement(a.ring, out)
+
+
+def _ref_neg(a):
+    dom = a.ring.coeffs
+    return RingElement(a.ring, {e: dom.neg(c) for e, c in a._terms.items()})
+
+
+def _ref_mul(a, b):
+    """The double loop with a zero filter."""
+    dom = a.ring.coeffs
+    out = {}
+    for e1, c1 in a._terms.items():
+        for e2, c2 in b._terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = dom.add(out.get(e, dom.zero()), dom.mul(c1, c2))
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return RingElement(a.ring, out)
+
+
+def _ref_pow(a, k):
+    result, base = a.ring.one(), a
+    while k:
+        if k & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base)
+        k >>= 1
+    return result
+
+
+def _ref_exact_divide(a, b):
+    """The division that builds a new remainder element at every step."""
+    if a.is_zero():
+        return a.ring.zero()
+    dom = a.ring.coeffs
+    eb, cb = b.leading_term()
+    rest, quo = a, {}
+    while not rest.is_zero():
+        er, cr = rest.leading_term()
+        diff = tuple(x - y for x, y in zip(er, eb))
+        if any(d < 0 for d in diff):
+            return None
+        q = dom.exact_div(cr, cb)
+        if q is None:
+            return None
+        quo[diff] = q
+        shifted = RingElement(a.ring, {tuple(x + y for x, y in zip(e, diff)):
+                                       dom.mul(c, q)
+                                       for e, c in b._terms.items()})
+        rest = _ref_add(rest, _ref_neg(shifted))
+    return RingElement(a.ring, quo)
+
+
+def _fresh_sort_key(a):
+    key = a.ring.monomial_key
+    terms = sorted(a._terms.items(), key=lambda t: key(t[0]), reverse=True)
+    return (max((sum(e) for e in a._terms), default=-1), len(terms),
+            tuple((key(e), a.ring.coeffs.sort_key(c)) for e, c in terms))
+
+
+def _same(got, want):
+    """Equal, with the same term map in the same insertion order."""
+    assert got == want
+    assert list(got._terms.items()) == list(want._terms.items())
+    assert got.sort_key() == _fresh_sort_key(got)
+
+
+@st.composite
+def kernel_elements(draw, ring):
+    """Zero, a constant, a single term or a sum of up to four terms."""
+    coeff = st.integers(-6, 6)
+    if ring.coeffs.name == "rationals":
+        coeff = st.one_of(coeff, st.builds(lambda n, d: Fraction(n, d),
+                                           st.integers(-6, 6),
+                                           st.integers(1, 4)))
+    exp = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    shape = draw(st.sampled_from(("constant", "term", "sum")))
+    if shape == "constant":
+        terms = [((0,) * ring.nvars, draw(coeff))]
+    elif shape == "term":
+        terms = [(draw(exp), draw(coeff))]
+    else:
+        terms = draw(st.lists(st.tuples(exp, coeff), max_size=4))
+    out = ring.zero()
+    for e, c in terms:
+        c = c if type(c) is int else ring.coeffs.from_fraction(c.numerator,
+                                                               c.denominator)
+        out = _ref_add(out, ring.monomial(e, c))
+    return out
+
+
+@st.composite
+def kernel_operands(draw):
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    return tuple(draw(kernel_elements(ring)) for _ in "abc")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kernel_operands(), st.integers(0, 3))
+def test_arithmetic_matches_the_plain_algorithms(operands, k):
+    a, b, c = operands
+    _same(a + b, _ref_add(a, b))
+    _same(a - b, _ref_add(a, _ref_neg(b)))
+    _same(-a, _ref_neg(a))
+    _same(a * b, _ref_mul(a, b))
+    _same(b * a, _ref_mul(b, a))
+    _same(a ** k, _ref_pow(a, k))
+    if not b.is_zero():
+        _same(exact_divide(a * b, b), _ref_exact_divide(_ref_mul(a, b), b))
+        # a remainder that may leave the division inexact
+        got = exact_divide(a * b + c, b)
+        want = _ref_exact_divide(_ref_add(_ref_mul(a, b), c), b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            _same(got, want)
+
+
+def test_cached_sort_key_is_the_fresh_one(qxy):
+    a = qxy.parse("x*y - 1/2*x + 3")
+    before = a.sort_key()
+    product = a * a
+    assert a.sort_key() is before == _fresh_sort_key(a)
+    assert product.sort_key() == _fresh_sort_key(product)
+
+
+def test_mixed_rings_and_types_still_raise(zx, qx):
+    a, b = zx.parse("x + 1"), qx.parse("x + 1")
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+               lambda: exact_divide(a, b), lambda: a + 1, lambda: a - 1,
+               lambda: a * 2):
+        with pytest.raises(UsageError):
+            op()
+
+
+def test_equal_descriptors_that_are_different_objects_combine():
+    r1 = RingDescriptor.polynomial("integers", ["x", "y"], "grevlex")
+    r2 = RingDescriptor.polynomial("integers", ["x", "y"], "grevlex")
+    assert r1 is not r2 and r1 == r2
+    a, b = r1.parse("x + y"), r2.parse("x - y")
+    assert a * b == r1.parse("x^2 - y^2") == r2.parse("x^2 - y^2")
+    assert a + b == r2.parse("2*x")
+    assert a - b == r1.parse("2*y")
+    assert exact_divide(a * b, b) == a
