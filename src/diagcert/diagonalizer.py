@@ -43,7 +43,7 @@ from .homalg import (FPModule, QGResult, element_pool, is_quasi_gorenstein,
 from .linalg import (ColAdd, ColScale, ColSwap, EquivalenceCertificate,
                      RingMatrix, RowAdd, RowSwap, Workbench, apply_in_place,
                      determinant, fitting_ideal, inverse_unimodular,
-                     smith_normal_form)
+                     is_diagonal_grid, smith_normal_form)
 from .rings import IdealHandle, RingElement
 
 
@@ -73,11 +73,6 @@ def _potential(rows) -> int:
             if i != j and w:
                 total += 3
     return total
-
-
-def _is_diagonal(rows) -> bool:
-    return all(rows[i][j].is_zero()
-               for i in range(len(rows)) for j in range(len(rows[0])) if i != j)
 
 
 def _apply(rows, op):
@@ -238,7 +233,7 @@ class _Search:
             if self.budget < 0:
                 return None
             sub = [r[self.frozen:] for r in self.rows[self.frozen:]]
-            if not sub or _is_diagonal(sub):
+            if not sub or is_diagonal_grid(sub):
                 return list(self.ops)
             if self._greedy_step():
                 continue
@@ -284,7 +279,7 @@ class _Search:
             if path:
                 sub = [r[self.frozen:] for r in rows[self.frozen:]]
                 has_unit = any(e.is_unit() for r in sub for e in r)
-                if value < start_potential or _is_diagonal(sub) or has_unit:
+                if value < start_potential or is_diagonal_grid(sub) or has_unit:
                     self.rows = rows
                     self.ops.extend(path)
                     return True
@@ -362,6 +357,8 @@ class ObstructionRecord:
         matrix_images = {}
         for r in self.refutations:
             k = r.fitting_index
+            if k not in range(1, m.nrows + 1):
+                return False
             cand_matrix = RingMatrix.diagonal(m.ring, list(r.diagonal))
             if r.evidence == "evaluation":
                 key = (str(r.point), k)
@@ -568,7 +565,7 @@ def diagonalize(m: RingMatrix, bounds: Bounds = None) -> DiagonalizeResult:
         bench = Workbench(m)
         for op in ops:
             bench.apply(op)
-        if not _is_diagonal(bench.a):
+        if not is_diagonal_grid(bench.a):
             raise InternalInvariantError("search returned a non-diagonal target")
         bench.canonicalize_diagonal()
         return _finish(bench.certificate(), "elementary-search")

@@ -364,17 +364,11 @@ class ModuleHom:
         """self o inner (inner first)."""
         if inner.target is not self.source and inner.target.gens != self.source.gens:
             raise UsageError("homs do not compose")
-        ring = self.source.ring
-        rows = []
-        for p in range(self.target.gens):
-            row = []
-            for q in range(inner.source.gens):
-                acc = ring.zero()
-                for k in range(self.source.gens):
-                    acc = acc + self.matrix[p][k] * inner.matrix[k][q]
-                row.append(acc)
-            rows.append(row)
-        return ModuleHom(inner.source, self.target, rows)
+        cols = [self.apply(inner.column(q)).comps
+                for q in range(inner.source.gens)]
+        return ModuleHom(inner.source, self.target,
+                         [[col[p] for col in cols]
+                          for p in range(self.target.gens)])
 
     def is_identity_mod_relations(self) -> bool:
         if self.source.gens != self.target.gens:

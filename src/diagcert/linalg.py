@@ -22,6 +22,12 @@ from .errors import (InternalInvariantError, NotEuclideanError, UsageError)
 from .rings import IdealHandle, RingDescriptor, RingElement, exact_divide
 
 
+def is_diagonal_grid(rows) -> bool:
+    """Every entry off the main diagonal of a grid of ring elements is zero."""
+    return all(e.is_zero() for i, row in enumerate(rows)
+               for j, e in enumerate(row) if i != j)
+
+
 class RingMatrix:
     """Immutable dense matrix with entries in one ring."""
 
@@ -72,12 +78,8 @@ class RingMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.rows[i][j]
-
     def is_diagonal(self) -> bool:
-        return all(self.rows[i][j].is_zero()
-                   for i in range(self.nrows) for j in range(self.ncols) if i != j)
+        return is_diagonal_grid(self.rows)
 
     def diagonal_entries(self):
         return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]

@@ -56,53 +56,24 @@ def _is_prime(n: int) -> bool:
 
 
 class _CoeffDomain:
-    """Arithmetic for the coefficient domain of a polynomial ring."""
+    """Arithmetic for the coefficient domain of a polynomial ring.
+
+    Each domain implements add(a, b), neg(a), mul(a, b), is_unit(a),
+    invert_unit(a), exact_div(a, b) (a / b when b exactly divides a, else
+    None), divmod_canonical(a, b) ((q, r) with a = q*b + r and r the
+    canonical remainder), gcd_ext(a, b) ((g, s, t) with g = s*a + t*b, g the
+    canonical gcd), canonical_unit(a) (the unit u with a = u * canonical(a),
+    for a != 0), from_int(n) and from_fraction(num, den).
+    """
 
     is_field = False
     name = "?"
 
     def zero(self):
-        raise NotImplementedError
+        return 0
 
     def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def invert_unit(self, a):
-        raise NotImplementedError
-
-    def exact_div(self, a, b):
-        """a / b when b exactly divides a, else None."""
-        raise NotImplementedError
-
-    def divmod_canonical(self, a, b):
-        """(q, r) with a = q*b + r and r the canonical remainder."""
-        raise NotImplementedError
-
-    def gcd_ext(self, a, b):
-        """(g, s, t) with g = s*a + t*b, g the canonical gcd."""
-        raise NotImplementedError
-
-    def canonical_unit(self, a):
-        """Unit u with a = u * canonical(a).  Requires a != 0."""
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def from_fraction(self, num: int, den: int):
-        raise NotImplementedError
+        return 1
 
     def sort_key(self, a):
         return a
@@ -110,12 +81,6 @@ class _CoeffDomain:
 
 class IntegerCoeffs(_CoeffDomain):
     name = "integers"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return a + b
@@ -176,20 +141,29 @@ def _rational(x):
     return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
-class RationalCoeffs(_CoeffDomain):
+class _FieldCoeffs(_CoeffDomain):
+    """A field of coefficients: every nonzero element is a unit."""
+
+    is_field = True
+
+    def divmod_canonical(self, a, b):
+        return self.exact_div(a, b), 0
+
+    def gcd_ext(self, a, b):
+        if self.is_unit(a):
+            return 1, self.invert_unit(a), 0
+        if self.is_unit(b):
+            return 1, 0, self.invert_unit(b)
+        return 0, 0, 0
+
+
+class RationalCoeffs(_FieldCoeffs):
     """Q: an integral value is an int, any other a Fraction.
 
     Every division goes through Fraction, so int / int never gives a float.
     """
 
     name = "rationals"
-    is_field = True
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return _rational(a + b)
@@ -211,16 +185,6 @@ class RationalCoeffs(_CoeffDomain):
     def exact_div(self, a, b):
         return _rational(Fraction(a, b))
 
-    def divmod_canonical(self, a, b):
-        return self.exact_div(a, b), 0
-
-    def gcd_ext(self, a, b):
-        if a != 0:
-            return 1, self.invert_unit(a), 0
-        if b != 0:
-            return 1, 0, self.invert_unit(b)
-        return 0, 0, 0
-
     def canonical_unit(self, a):
         return a
 
@@ -231,20 +195,12 @@ class RationalCoeffs(_CoeffDomain):
         return _rational(Fraction(num, den))
 
 
-class PrimeFieldCoeffs(_CoeffDomain):
-    is_field = True
-
+class PrimeFieldCoeffs(_FieldCoeffs):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise UsageError(f"prime field modulus {p} is not prime")
         self.p = p
         self.name = f"gf({p})"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -265,16 +221,6 @@ class PrimeFieldCoeffs(_CoeffDomain):
 
     def exact_div(self, a, b):
         return a * pow(b, -1, self.p) % self.p
-
-    def divmod_canonical(self, a, b):
-        return self.exact_div(a, b), 0
-
-    def gcd_ext(self, a, b):
-        if a % self.p:
-            return 1, self.invert_unit(a), 0
-        if b % self.p:
-            return 1, 0, self.invert_unit(b)
-        return 0, 0, 0
 
     def canonical_unit(self, a):
         return a % self.p

@@ -1,6 +1,11 @@
 """Fitting ideals of a matrix after substituting integers for the
 variables.  Fitting ideals commute with base change, so a difference after
 substitution proves a difference over the ring itself.
+
+The evaluated matrix has its entries in the coefficient domain, and one
+Smith form over that domain gives all its Fitting images: over Z the
+elementary divisors, over a field the rank.  The verifier recomputes each
+image independently, by cofactor expansion of the evaluated minors.
 """
 
 from __future__ import annotations
@@ -8,7 +13,7 @@ from __future__ import annotations
 from itertools import accumulate, product
 from operator import mul
 
-from .rings import IntegerCoeffs, RingDescriptor
+from .rings import RingDescriptor
 
 
 def points(ring: RingDescriptor):
@@ -32,45 +37,21 @@ def _substitute_full(element, mapping):
     return total
 
 
-def _rank(grid, dom):
-    """Rank of a grid over a field of coefficients, by elimination."""
-    rows = [list(r) for r in grid]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for j in range(cols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][j] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = dom.invert_unit(rows[rank][j])
-        for i in range(len(rows)):
-            if i != rank and rows[i][j] != 0:
-                factor = dom.neg(dom.mul(rows[i][j], inv))
-                rows[i] = [dom.add(a, dom.mul(factor, b))
-                           for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _int_invariant_factors(grid):
-    """Elementary divisors of an integer matrix by direct elimination."""
+def _smith_diagonal(grid, dom):
+    """The nonzero diagonal entries of a Smith form of a square grid of
+    scalars over its coefficient domain dom, by elimination with pivots of
+    least abs: over Z the elementary divisors up to sign, over a field
+    units."""
     a = [list(r) for r in grid]
-    n, c = len(a), len(a[0])
-    factors = []
+    n = len(a)
+    diagonal = []
     t = 0
-    while t < min(n, c):
-        best = None
-        for i in range(t, n):
-            for j in range(t, c):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
-        if best is None:
+    while t < n:
+        entries = [(abs(a[i][j]), i, j)
+                   for i in range(t, n) for j in range(t, n) if a[i][j]]
+        if not entries:
             break
-        _, bi, bj = best
+        _, bi, bj = min(entries)
         a[t], a[bi] = a[bi], a[t]
         for row in a:
             row[t], row[bj] = row[bj], row[t]
@@ -78,45 +59,40 @@ def _int_invariant_factors(grid):
         dirty = False
         for i in range(t + 1, n):
             if a[i][t]:
-                dirty |= a[i][t] % pivot != 0
-                q = a[i][t] // pivot
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-        for j in range(t + 1, c):
+                q, r = dom.divmod_canonical(a[i][t], pivot)
+                dirty |= r != 0
+                a[i] = [dom.from_int(x - q * y) for x, y in zip(a[i], a[t])]
+        for j in range(t + 1, n):
             if a[t][j]:
-                dirty |= a[t][j] % pivot != 0
-                q = a[t][j] // pivot
+                q, r = dom.divmod_canonical(a[t][j], pivot)
+                dirty |= r != 0
                 for row in a:
-                    row[j] -= q * row[t]
+                    row[j] = dom.from_int(row[j] - q * row[t])
         if dirty:
             continue
-        merge = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, c):
-                if a[i][j] % pivot:
-                    merge = i
-                    break
-            if merge is not None:
-                break
+        merge = None if dom.is_unit(pivot) else next(
+            (i for i in range(t + 1, n)
+             if any(dom.divmod_canonical(x, pivot)[1] for x in a[i][t + 1:])),
+            None)
         if merge is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[merge])]
+            a[t] = [dom.from_int(x + y) for x, y in zip(a[t], a[merge])]
             continue
-        factors.append(abs(pivot))
+        diagonal.append(pivot)
         t += 1
-    return factors
+    return diagonal
 
 
 def fitting_images(rows, point) -> list:
     """Images of F_1, ..., F_n of an n x n matrix (rows of ring elements)
-    under the evaluation at point (variable name -> integer): over Z
-    coefficients the gcd of the k-minors, the product of the first k
-    elementary divisors; over a field 1 while k is at most the rank, else 0.
+    under the evaluation at point (variable name -> integer): the running
+    products of the Smith form's diagonal entries, each read as its abs
+    over Z and as 1 over a field, then 0 past the rank.  Over Z that is the
+    gcd of the k-minors; over a field 1 while k is at most the rank.
     """
     ring = rows[0][0].ring
     mapping = dict(zip(map(ring.var_index, point), point.values()))
     grid = [[_substitute_full(e, mapping) for e in row] for row in rows]
-    n, dom = len(grid), ring.coeffs
-    if isinstance(dom, IntegerCoeffs):
-        images = list(accumulate(_int_invariant_factors(grid), mul))
-        return images + [0] * (n - len(images))
-    rank = _rank(grid, dom)
-    return [1] * rank + [0] * (n - rank)
+    dom = ring.coeffs
+    images = list(accumulate((1 if dom.is_field else abs(d)
+                              for d in _smith_diagonal(grid, dom)), mul))
+    return images + [0] * (len(grid) - len(images))

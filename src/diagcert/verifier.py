@@ -4,9 +4,10 @@ This module is the trust anchor for every Yes verdict and for the evaluated
 Fitting ideals behind a No.  Evaluation, matrix products and determinants
 are reimplemented here from scratch (cofactor expansion, no Bareiss, no
 Workbench), so equivalence certificates and evaluation refutations rest on
-ring arithmetic alone.  An evaluated matrix has its entries in the
-coefficient domain (an int, a rational or a residue mod p), so its minors
-are expanded by cofactors over those scalars, not over ring elements.
+ring arithmetic alone.  One cofactor expansion, _det, serves both: it
+expands a certificate's determinants over ring elements, and the minors of
+an evaluated matrix over its coefficient domain, whose entries are ints,
+rationals or residues mod p.
 check_ideal_mismatch is the exception: it compares ideals through the
 Groebner engine (groebner.ideal_contains over IdealHandle.groebner()), so
 Groebner refutations and isomorphism obstructions rest on that engine too
@@ -51,31 +52,19 @@ def _mul(ring, a, b):
 
 
 def _det(ring, a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    acc = ring.zero()
-    for j in range(n):
-        if a[0][j].is_zero():
-            continue
-        minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = a[0][j] * _det(ring, minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def _scalar_det(a):
-    """Cofactor expansion of a grid of coefficient scalars, over the integers
-    or the rationals; a residue grid gives an integer to reduce mod p."""
+    """Cofactor expansion of a square grid: of ring elements when ring is a
+    RingDescriptor, of coefficient scalars when it is their coefficient
+    domain.  Over Z or Q a scalar grid gives its determinant; a residue grid
+    gives an integer to reduce mod p."""
     n = len(a)
     if n == 1:
         return a[0][0]
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    acc = 0
+    zero = acc = ring.zero()
     for j, x in enumerate(a[0]):
-        if x:
-            term = x * _scalar_det([row[:j] + row[j + 1:] for row in a[1:]])
+        if x != zero:
+            term = x * _det(ring, [row[:j] + row[j + 1:] for row in a[1:]])
             acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
@@ -124,20 +113,23 @@ def fitting_image(matrix, point, k):
     """The image of the k-th Fitting ideal of a square matrix under the
     evaluation at point (variable name -> integer): over Z coefficients the
     nonnegative gcd of the evaluated k-minors, over a field 1 if one of them
-    is nonzero, else 0.  None if point misses a variable or k is no size.
+    is nonzero, else 0.  None if point misses a variable, gives one a value
+    that is not an int, or k is no size.
     """
     ring = matrix.ring
     n = len(matrix.rows)
     if sorted(point or ()) != sorted(ring.variables) or not 0 < k <= n:
         return None
-    dom = ring.coeffs
     values = [point[name] for name in ring.variables]
+    if not all(isinstance(v, int) for v in values):
+        return None
+    dom = ring.coeffs
     a = [[_evaluate(e, values, dom) for e in row] for row in matrix.rows]
     image = 0
     for rows in combinations(range(n), k):
         for cols in combinations(range(n), k):
-            minor = dom.from_int(_scalar_det([[a[i][j] for j in cols]
-                                              for i in rows]))
+            minor = dom.from_int(_det(dom, [[a[i][j] for j in cols]
+                                            for i in rows]))
             image = gcd(image, int(minor != 0) if dom.is_field else minor)
             if image == 1:
                 return 1

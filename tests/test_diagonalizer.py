@@ -475,6 +475,7 @@ def _swap(record, old, new):
 
 def test_obstruction_verify_rejects_tampering():
     from dataclasses import replace
+    from fractions import Fraction
     from diagcert.verifier import fitting_image
     m = scrambled_core("Z[x]", 3)
     record = diagonalize(m).obstruction
@@ -536,6 +537,17 @@ def test_obstruction_verify_rejects_tampering():
         "the negated determinant": (replace(
             record, det_factorization=replace(fac, unit=-fac.unit)), m),
     }
+    # indices outside 1..n and point values that are not ints are rejected,
+    # not raised on, by either kind of evidence
+    for k in (-1, 0, 3, 5):
+        tampered[f"Groebner index {k}"] = (_swap(fallback, g, replace(
+            g, fitting_index=k)), fm)
+    for k in (-1, 0, 4, 6):
+        tampered[f"evaluation index {k}"] = (_swap(record, r0, replace(
+            r0, fitting_index=k)), m)
+    for value in (Fraction(1, 2), 0.5, "1", None):
+        tampered[f"point value {value!r}"] = (_swap(record, r0, replace(
+            r0, point={"x": value})), m)
     for what, (bad, source) in tampered.items():
         assert not bad.verify(source), what
 
@@ -585,10 +597,14 @@ def test_analyze_factors_the_determinant_once(fixtures_dir, monkeypatch):
 
 # sha256 of dumps(diagonalize(m).to_json()), taken when each candidate was
 # first evaluated at the points of {0, 1, -1}^n in product order; only
-# ("Z[x,y]", 3) has a candidate no point separates, refuted over the ring
+# ("Z[x,y]", 3) has a candidate no point separates, refuted over the ring.
+# A key that names a fixture loads its matrix; torsion_int's candidates are
+# refuted by integer elementary divisors.
 NO_PATH_DIGESTS = {
     ("jordan_block", 2):
         "b94bf3540d3f6a78dceb6d64394e5b4192f59effa95e559a0f89a873c6f22bd7",
+    ("torsion_int", 2):
+        "60022cc93e57d8cd8d478e298b17c546e14e95e97016b0fd21442a88a7c3a4fa",
     ("Q[x,y]", 2):
         "e17fc9a228a176be263fe443dcc4c92668405858ad520d6d86d9d97ad2f89ed8",
     ("Q[x,y]", 3):
@@ -611,8 +627,8 @@ NO_PATH_DIGESTS = {
 @pytest.mark.parametrize("key, n", sorted(NO_PATH_DIGESTS))
 def test_no_path_bytes_pinned(fixtures_dir, key, n):
     import hashlib
-    if key == "jordan_block":
-        m = _fixture_matrix(fixtures_dir, "jordan_block.json")
+    if (fixtures_dir / f"{key}.json").exists():
+        m = _fixture_matrix(fixtures_dir, f"{key}.json")
     else:
         m = scrambled_core(key, n)
     result = diagonalize(m)
@@ -627,8 +643,8 @@ def test_no_path_bytes_when_the_search_runs_out_first(fixtures_dir, key, n,
     # one node runs out before the first stall, so the refutation runs after
     # the search, and its record is the one the stall would have produced
     import hashlib
-    if key == "jordan_block":
-        m = _fixture_matrix(fixtures_dir, "jordan_block.json")
+    if (fixtures_dir / f"{key}.json").exists():
+        m = _fixture_matrix(fixtures_dir, f"{key}.json")
     else:
         m = scrambled_core(key, n)
     text = dumps(diagonalize(m, Bounds(search_nodes=1)).to_json())

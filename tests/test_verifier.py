@@ -1,5 +1,8 @@
 """verifier.fitting_image over coefficient scalars against the version that
-evaluated into ring elements and expanded the minors over those."""
+evaluated into ring elements and expanded the minors over those; the
+verifier's one cofactor expansion, over ring elements and over each
+coefficient domain, against that version's; and specialization's Smith
+form of an evaluated matrix against the verifier's Fitting images."""
 
 import random
 from fractions import Fraction
@@ -9,8 +12,10 @@ from math import gcd
 import pytest
 
 from diagcert.linalg import RingMatrix
-from diagcert.rings import RingDescriptor
-from diagcert.verifier import fitting_image
+from diagcert.rings import (IntegerCoeffs, PrimeFieldCoeffs, RationalCoeffs,
+                            RingDescriptor)
+from diagcert.specialization import fitting_images, points
+from diagcert.verifier import _det, fitting_image
 
 RINGS = {"Z[x]": ("integers", ["x"], "lex"),
          "Z[x,y]": ("integers", ["x", "y"], "grevlex"),
@@ -117,3 +122,75 @@ def test_fitting_image_reduces_each_minor_mod_p():
         assert fitting_image(m, point, 2) == 0
         assert _reference_fitting_image(m, point, 2) == 0
     assert fitting_image(m, {"x": 1, "y": 0}, 2) == 1
+
+
+def _with_zero_lines(rng, grid, zero):
+    """The grid, and copies with a zero row, a zero column, and both."""
+    n = len(grid)
+    i, j = rng.randrange(n), rng.randrange(n)
+    zero_row = [[zero if r == i else e for e in row]
+                for r, row in enumerate(grid)]
+    zero_col = [[zero if c == j else e for c, e in enumerate(row)]
+                for row in grid]
+    both = [[zero if c == j else e for c, e in enumerate(row)]
+            for row in zero_row]
+    return [grid, zero_row, zero_col, both]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_matches_the_reference_over_rings_and_scalars(n):
+    rng = random.Random(f"det/{n}")
+    for key in sorted(RINGS):
+        ring = RingDescriptor.polynomial(*RINGS[key])
+        grid = [[_entry(rng, ring) for _ in range(n)] for _ in range(n)]
+        for g in _with_zero_lines(rng, grid, ring.zero()):
+            assert _det(ring, g) == _reference_det(ring, g), (key, g)
+    # each scalar grid against the reference over the constant polynomials
+    domains = ((IntegerCoeffs(), lambda dom: rng.randint(-9, 9)),
+               (RationalCoeffs(), lambda dom: dom.from_fraction(
+                   rng.randint(-9, 9), rng.randint(1, 4))),
+               (PrimeFieldCoeffs(5), lambda dom: dom.from_int(
+                   rng.randint(-9, 9))))
+    for dom, draw in domains:
+        ring = RingDescriptor.polynomial(dom, ["x"])
+        for _ in range(3):
+            grid = [[draw(dom) for _ in range(n)] for _ in range(n)]
+            for g in _with_zero_lines(rng, grid, dom.zero()):
+                want = _reference_det(ring, [[ring.from_coeff(x) for x in row]
+                                             for row in g])
+                assert ring.from_coeff(dom.from_int(_det(dom, g))) == want, g
+
+
+ELIMINATION_RINGS = {"Z": RingDescriptor.integers(),
+                     "Z[x]": RingDescriptor.polynomial(*RINGS["Z[x]"]),
+                     "Q[x,y]": RingDescriptor.polynomial(*RINGS["Q[x,y]"]),
+                     "F5[x,y]": RingDescriptor.polynomial(*RINGS["F5[x,y]"]),
+                     "F2[x]": RingDescriptor.polynomial(2, ["x"], "lex")}
+
+
+@pytest.mark.parametrize("key", sorted(ELIMINATION_RINGS))
+def test_fitting_images_match_the_verifier(key):
+    # each seeded matrix also comes with its last row replaced by a
+    # combination of the others (singular at every point), and with its
+    # rows scaled by 2, 4, 4, ... (over Z, elementary divisors 2 and 4)
+    ring = ELIMINATION_RINGS[key]
+    rng = random.Random(f"fitting-images/{key}")
+    two, four = ring.from_int(2), ring.from_int(4)
+    images_seen = set()
+    for n in (2, 3, 4):
+        for _ in range(3):
+            rows = [[_entry(rng, ring) for _ in range(n)] for _ in range(n)]
+            singular = rows[:-1] + [[two * a - b
+                                     for a, b in zip(rows[0], rows[-2])]]
+            scaled = [[(two if i == 0 else four) * e for e in row]
+                      for i, row in enumerate(rows)]
+            for grid in (rows, singular, scaled):
+                m = RingMatrix(ring, grid)
+                for point in points(ring):
+                    images = fitting_images(m.rows, point)
+                    assert images == [fitting_image(m, point, k)
+                                      for k in range(1, n + 1)], (m, point)
+                    images_seen.update(images)
+    assert 0 in images_seen
+    if not ring.coeffs.is_field:
+        assert {2, 4} <= images_seen
