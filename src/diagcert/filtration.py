@@ -7,6 +7,9 @@ Reading pinned here (and echoed in every report):
   * the pool is enumerated only as far as bounds.sample_elements keeps it;
   * each class of a quotient, up to a unit, is annihilated once, into one
     table per quotient keyed by annihilator in order of first appearance;
+    a class is found as the term map of a pooled vector's normal form,
+    scaled by the inverse of the canonical unit of its lead, and becomes a
+    FreeVector only when it is new;
     the sample takes one entry per key, a search stage reads its admissible
     and blocked ideals off the keys, and the first stage reuses the table
     its sample was built from;
@@ -25,7 +28,7 @@ from itertools import product
 
 from .bounds import Bounds, applies_bounds
 from .errors import InternalInvariantError, UsageError
-from .groebner import FreeVector
+from .groebner import FreeVector, _lead, _vector_of
 from .homalg import (FPModule, _unit_normal, element_annihilator,
                      element_pool, quotient_presentation)
 from .linalg import RingMatrix
@@ -44,8 +47,10 @@ def enumerate_elements(ring: RingDescriptor, rank: int, bounds: Bounds):
 
     A combination is keyed by the positions of its values, and the
     combinations are built one layer of largest key at a time, only until
-    the sample is full.
+    the sample is full.  The zero module (rank 0) has no nonzero vector.
     """
+    if rank == 0:
+        return []
     pool = element_pool(ring, bounds)
     values = [ring.zero()] + pool[:2 * bounds.height]
     order = {v: i for i, v in enumerate(values)}
@@ -128,20 +133,31 @@ def _unit_pool(M: FPModule, bounds: Bounds):
 def _class_table(Q: FPModule, vectors):
     """{Ann: (v, classes)} over the nonzero classes of Q, keyed in order of
     first appearance: v is the first vector with that annihilator, and
-    classes its distinct normal forms up to a unit, each annihilated once."""
+    classes its distinct normal forms up to a unit, each annihilated once.
+
+    Each vector is reduced to its normal form's term map, which is scaled
+    by the inverse of the canonical unit of its position-over-term lead:
+    the leading term of its first nonzero component, as in
+    `homalg._unit_normal`.  The map is hashed once, and a FreeVector is
+    built only for a class not seen before."""
     handle = Q.handle()
+    ring, dom = Q.ring, Q.ring.coeffs
+    one = dom.one()
     seen = set()
     table = {}
     for v in vectors:
-        nf = handle.normal_form(v)
-        comps = _unit_normal(nf.comps)
-        if comps is None:
+        nf = handle.normal_terms(v)
+        if not nf:
             continue
-        if comps is not nf.comps:
-            nf = FreeVector(Q.ring, comps)
-        if nf not in seen:
-            seen.add(nf)
-            table.setdefault(element_annihilator(Q, nf), (v, []))[1].append(nf)
+        unit = dom.canonical_unit(_lead(ring, nf)[2])
+        if unit != one:
+            inv = dom.invert_unit(unit)
+            nf = {t: dom.mul(c, inv) for t, c in nf.items()}
+        key = frozenset(nf.items())
+        if key not in seen:
+            seen.add(key)
+            cls = _vector_of(ring, Q.gens, nf)
+            table.setdefault(element_annihilator(Q, cls), (v, []))[1].append(cls)
     return table
 
 

@@ -16,11 +16,20 @@ int over Z, a residue mod p, or a rational stored as an int when integral
 and as a Fraction otherwise), with no zero coefficients.  A reduction step
 updates its work map in place and touches only the terms of the reducer,
 as in sparse polynomial division (Monagan-Pearce, CASC 2007), though the
-lead is found by a scan rather than a heap.  One reduction routine serves
-the Buchberger loop, the tail reduction and membership, each against the
-basis it is given.  FreeVector is the boundary type: SubmoduleHandle
-converts generators to term maps on the way in, caches its reduced basis
-once as term maps, and converts basis vectors back on the way out.
+lead is found by one pass over the work map rather than kept in a heap.
+One sequential reduction routine serves the Buchberger loop, the tail
+reduction, and normal forms and membership over Z.  FreeVector is the
+boundary type: SubmoduleHandle converts generators to term maps on the way
+in, caches its reduced basis once as term maps, and converts basis vectors
+back on the way out.
+
+Over a field, a normal form modulo a fixed basis is a linear map (the fact
+FGLM rests on: Faugere-Gianni-Lazard-Mora, J. Symb. Comp. 16, 1993), so a
+SubmoduleHandle also caches the reduction of each term it meets, and
+normal forms, membership and finite-length colons add up the cached
+reductions of a vector's terms instead of reducing it from scratch.  A
+reduction that runs ticks the budget of the computation that asked for it;
+a term served from the cache ticks nothing.
 
 Every basis element carries its expression in terms of the input generators,
 which is how membership witnesses are produced; each witness is recombined
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from operator import add, le
 
 from .bounds import current_steps
 from .errors import InternalInvariantError, StepBudgetExceeded, UsageError
@@ -134,11 +144,23 @@ def _add_term(dom, target, key, coeff):
 
 
 def _add_scaled(dom, target, terms, exp, coeff):
-    """target += coeff * x^exp * terms, in place."""
+    """target += coeff * x^exp * terms, in place, dropping zero sums."""
+    if coeff == 0:
+        return
+    plus, times = dom.add, dom.mul
     shift = any(exp)
     for (i, e), c in terms.items():
-        key = (i, tuple(a + b for a, b in zip(e, exp))) if shift else (i, e)
-        _add_term(dom, target, key, dom.mul(c, coeff))
+        key = (i, tuple(map(add, e, exp))) if shift else (i, e)
+        c = times(c, coeff)
+        old = target.get(key)
+        if old is None:
+            target[key] = c
+        else:
+            c = plus(old, c)
+            if c == 0:
+                del target[key]
+            else:
+                target[key] = c
 
 
 def _combine(dom, coeffs, gens):
@@ -150,9 +172,19 @@ def _combine(dom, coeffs, gens):
 
 
 def _lead(ring, terms):
-    """(position, exponent, coefficient) of the largest term of a nonzero map."""
-    pos = min(i for i, _ in terms)
-    exp = max((e for i, e in terms if i == pos), key=ring.monomial_key)
+    """(position, exponent, coefficient) of the largest term of a nonzero map,
+    found in one pass: the least position, then the largest monomial."""
+    key = ring.monomial_key
+    items = iter(terms)
+    pos, exp = next(items)
+    best = key(exp)
+    for i, e in items:
+        if i < pos:
+            pos, exp, best = i, e, key(e)
+        elif i == pos:
+            k = key(e)
+            if k > best:
+                exp, best = e, k
     return pos, exp, terms[pos, exp]
 
 
@@ -162,7 +194,7 @@ def _module_key(ring, rank, pos, exp):
 
 
 def _exp_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_sub(a, b):
@@ -424,9 +456,20 @@ class SubmoduleHandle:
     Zero generators are kept, so membership witnesses have one coordinate
     per generator.  The reduced basis is computed once and kept as term maps
     with their expressions; callers receive it as FreeVectors.
+
+    Over field coefficients the handle also keeps, for each term (pos, exp)
+    met so far, the reduction of that term against the reduced basis.  There
+    the reducer of a term depends on (pos, exp) alone (the least key among
+    the divisors, with a quotient that is never 0) and the terms are visited
+    in descending order, so reduction is linear: a vector's remainder and
+    combination are the sums of its terms' cached ones, scaled by its
+    coefficients, and equal the sequential result.  Over Z canonical
+    remainders are not linear (NF(-v) may differ from -NF(v)), so every
+    vector is reduced from scratch.
     """
 
-    __slots__ = ("ring", "rank", "generators", "_gen_terms", "_basis")
+    __slots__ = ("ring", "rank", "generators", "_gen_terms", "_basis",
+                 "_term_forms")
 
     def __init__(self, ring: RingDescriptor, rank: int, generators):
         gens = []
@@ -441,6 +484,7 @@ class SubmoduleHandle:
         self.generators = tuple(gens)
         self._gen_terms = tuple(_terms_of(g) for g in gens)
         self._basis = None
+        self._term_forms = {} if ring.coeffs.is_field else None
 
     def _check_vector(self, v):
         if not isinstance(v, FreeVector) or v.ring != self.ring \
@@ -452,6 +496,69 @@ class SubmoduleHandle:
         if self._basis is None:
             self._basis = _reduced_terms(self.ring, self.rank, self._gen_terms)
         return self._basis
+
+    def _reduce(self, terms, engine=None):
+        """(nf, combo) with terms = nf + sum(c * x^e * basis[a].terms) over
+        the items ((a, e), c) of the term map combo; each reduction step that
+        runs ticks `engine`, a new one by default."""
+        if engine is None:
+            engine = _Engine(self.ring, self.rank, ())
+        if self._term_forms is None:
+            nf, combo = engine._normal_form(self._engine_basis(), terms)
+            return nf, {(a, e): c for a, mult in combo.items()
+                        for e, c in mult.items()}
+        forms, dom = self._term_forms, self.ring.coeffs
+        zero_exp = (0,) * self.ring.nvars
+        nf, combo = {}, {}
+        for t, c in terms.items():
+            if t not in forms:
+                self._add_term_forms(t, engine)
+            t_nf, t_combo = forms[t]
+            _add_scaled(dom, nf, t_nf, zero_exp, c)
+            _add_scaled(dom, combo, t_combo, zero_exp, c)
+        return nf, combo
+
+    def _add_term_forms(self, term, engine):
+        """Cache the reduction of the term with coefficient 1, and of each
+        term it leads to, ticking `engine` once per term.
+
+        A reducible term t with reducer b, quotient q and shift x^d reduces
+        to the smaller terms of r = t - q*x^d*b, so its remainder is that of
+        r and its combination that of r plus q*x^d at b."""
+        forms, basis, dom = self._term_forms, self._engine_basis(), self.ring.coeffs
+        one, zero_exp = dom.one(), (0,) * self.ring.nvars
+        pending = {}
+        stack = [term]
+        while stack:
+            t = stack[-1]
+            if t in forms:
+                stack.pop()
+                continue
+            if t not in pending:
+                engine._tick()
+                red = engine._find_reducer(basis, *t, one)
+                if red is None:
+                    forms[t] = ({t: one}, {})
+                    stack.pop()
+                    continue
+                elem, q = red
+                delta = _exp_sub(t[1], elem.lead[1])
+                rest = {}
+                _add_scaled(dom, rest, elem.terms, delta, dom.neg(q))
+                del rest[t]
+                pending[t] = (elem.index, delta, q, rest)
+                missing = [s for s in rest if s not in forms]
+                if missing:
+                    stack.extend(missing)
+                    continue
+            index, delta, q, rest = pending.pop(t)
+            nf, combo = {}, {(index, delta): q}
+            for s, c in rest.items():
+                s_nf, s_combo = forms[s]
+                _add_scaled(dom, nf, s_nf, zero_exp, c)
+                _add_scaled(dom, combo, s_combo, zero_exp, c)
+            forms[t] = (nf, combo)
+            stack.pop()
 
     # queries ---------------------------------------------------------------
     def reduced_groebner(self):
@@ -468,26 +575,25 @@ class SubmoduleHandle:
             return True, tuple(self.ring.zero() for _ in range(n))
         if not self.generators:
             return False, None
-        basis = self._engine_basis()
-        nf, combo = _normal_form_vs(self.ring, self.rank, basis, terms)
+        nf, combo = self._reduce(terms)
         if nf:
             return False, None
         dom = self.ring.coeffs
-        witness = {}
-        for idx, mult in combo.items():
-            for e, c in mult.items():
-                _add_scaled(dom, witness, basis[idx].expr, e, c)
+        witness = _combine(dom, combo, [b.expr for b in self._engine_basis()])
         if _combine(dom, witness, self._gen_terms) != terms:
             raise InternalInvariantError("membership witness does not recombine")
         return True, _vector_of(self.ring, n, witness).comps
 
-    def normal_form(self, v: FreeVector) -> FreeVector:
+    def normal_terms(self, v: FreeVector):
+        """The normal form of v as a term map {(pos, exp): coeff}."""
         self._check_vector(v)
+        return self._reduce(_terms_of(v))[0]
+
+    def normal_form(self, v: FreeVector) -> FreeVector:
         if not self.generators:
+            self._check_vector(v)
             return v
-        nf, _ = _normal_form_vs(self.ring, self.rank, self._engine_basis(),
-                                _terms_of(v))
-        return _vector_of(self.ring, self.rank, nf)
+        return _vector_of(self.ring, self.rank, self.normal_terms(v))
 
     def equals(self, other: "SubmoduleHandle") -> bool:
         if self.ring != other.ring or self.rank != other.rank:
@@ -566,7 +672,6 @@ def _colon_finite_length(S: SubmoduleHandle, v: FreeVector):
     queued.
     """
     ring, rank, dom = S.ring, S.rank, S.ring.coeffs
-    basis = S._engine_basis()
     engine = _Engine(ring, rank, ())
     one, start = dom.one(), (0,) * ring.nvars
     todo = [(ring.monomial_key(start), start, None)]
@@ -584,7 +689,7 @@ def _colon_finite_length(S: SubmoduleHandle, v: FreeVector):
             step = _exp_sub(t, prev)
             terms = {(i, tuple(a + b for a, b in zip(e, step))): c
                      for (i, e), c in forms[prev].items()}
-        nf, _ = engine._normal_form(basis, terms)
+        nf, _ = S._reduce(terms, engine)
         work, combination = dict(nf), {(0, t): one}
         for _, pivot in reversed(pivots):
             if pivot in work:

@@ -96,6 +96,15 @@ def test_verify_replays_the_transcript(tmp_path, capsys, fixtures_dir,
     assert json.loads(out)["verify"] == {"valid": False, "reason": reason}
 
 
+def test_filtration_of_the_zero_module(capsys, fixtures_dir):
+    code, out, err = invoke(capsys, "filtration", "--input",
+                            str(fixtures_dir / "zero_module.json"), "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)["filtration"]
+    assert report["verdict"] == "found"
+    assert report["filtration"]["length"] == 0
+
+
 def test_filtration_exit_codes(capsys, fixtures_dir):
     code, out, _ = invoke(capsys, "filtration", "--input",
                           str(fixtures_dir / "z4.json"), "--json")

@@ -190,6 +190,11 @@ INLINE_DOCUMENTS = {
         "ring": {"kind": "polynomial", "coefficients": {"prime_field": 5},
                  "variables": ["x", "y"], "order": "grevlex"},
         "matrix": [["x^2", "2*y"], ["0", "x + y"]]},
+    "zx_jordan": {
+        "schema": "diagcert/1",
+        "ring": {"kind": "polynomial", "coefficients": "integers",
+                 "variables": ["x"], "order": "lex"},
+        "matrix": [["x", "2"], ["0", "x"]]},
 }
 
 
@@ -279,6 +284,58 @@ def test_search_annihilates_each_class_once(fixtures_dir, monkeypatch):
     # verify_filtration re-checks found chains on its own; none is found here
     assert len(annihilated) == len(set(annihilated))
     assert len(enumerations) == 1
+
+
+def reference_class_table(Q, vectors):
+    """The class table built on FreeVectors: each normal form from
+    handle.normal_form, made unit-normal by homalg._unit_normal."""
+    handle = Q.handle()
+    seen, table = set(), {}
+    for v in vectors:
+        nf = handle.normal_form(v)
+        comps = homalg._unit_normal(nf.comps)
+        if comps is None:
+            continue
+        nf = FreeVector(Q.ring, comps)
+        if nf not in seen:
+            seen.add(nf)
+            table.setdefault(element_annihilator(Q, nf), (v, []))[1].append(nf)
+    return table
+
+
+@pytest.mark.parametrize("name", ["jordan_block", "triangular_int",
+                                  "zx_jordan"])
+def test_class_table_matches_the_vector_reference(fixtures_dir, monkeypatch,
+                                                  name):
+    # over Z[x] the unit scaling flips signs: zx_jordan's quotients have
+    # normal forms with a negative lead, triangular_int's do not
+    M = fixture_module(fixtures_dir, name)
+    real_class_table = filtration._class_table
+    quotients = []
+
+    def checked_class_table(Q, vectors):
+        table = real_class_table(Q, vectors)
+        reference = reference_class_table(Q, vectors)
+        assert list(table) == list(reference)
+        assert list(table.values()) == list(reference.values())
+        quotients.append(Q.relations)
+        return table
+
+    monkeypatch.setattr(filtration, "_class_table", checked_class_table)
+    search_minimal_cyclic_filtration(M)
+    assert len(quotients) > 1
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingDescriptor.polynomial(
+    "rationals", ["x", "y"], "grevlex")], ids=repr)
+def test_zero_module_has_the_empty_filtration(ring):
+    M = FPModule(ring, 0, [])
+    assert enumerate_elements(ring, 0, Bounds()) == []
+    assert sample_lattice(M).entries == ()
+    result = search_minimal_cyclic_filtration(M)
+    assert result.verdict == "found"
+    assert result.found.stages == ()
+    assert result.to_json()["filtration"]["length"] == 0
 
 
 def test_unit_pool_drops_unit_multiples_over_fields_only(fixtures_dir, zx):

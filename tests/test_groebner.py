@@ -372,6 +372,69 @@ def test_term_map_reduction_matches_dense(problem):
             _engine_normal_form(ring, basis, vec, Bounds(steps=steps - 1))
 
 
+CACHE_RINGS = tuple(RingDescriptor.polynomial(coeffs, ["x", "y"], order)
+                    for coeffs in ("rationals", 5)
+                    for order in ("lex", "grevlex"))
+
+
+@st.composite
+def cached_reduction_problems(draw):
+    """(handle, v, w) over Q[x,y] or F_5[x,y], lex or grevlex: up to three
+    generators of rank <= 2, which need not form a Groebner basis, and a
+    vector v with a second vector w on the same terms."""
+    ring = draw(st.sampled_from(CACHE_RINGS))
+    rank = draw(st.integers(1, 2))
+    entries = st.one_of(elements(ring), st.tuples(
+        elements(ring), elements(ring)).map(lambda ab: ab[0] * ab[1]))
+    vectors = st.lists(entries, min_size=rank, max_size=rank).map(
+        lambda comps: FreeVector(ring, comps))
+    gens = draw(st.lists(vectors, min_size=1, max_size=3))
+    v = draw(vectors)
+    w = groebner._vector_of(ring, rank, {
+        t: ring.coeffs.from_int(draw(st.integers(1, 4)))
+        for t in groebner._terms_of(v)})
+    return SubmoduleHandle(ring, rank, gens), v, w
+
+
+def _handle_reduction(S, v):
+    nf, combo = S._reduce(groebner._terms_of(v))
+    maps = {}
+    for (i, e), c in combo.items():
+        maps.setdefault(i, {})[e] = c
+    return (groebner._vector_of(S.ring, S.rank, nf),
+            {i: RingElement(S.ring, m) for i, m in maps.items() if m})
+
+
+@PROPERTY_SETTINGS
+@given(cached_reduction_problems())
+def test_cached_term_reductions_match_dense(problem):
+    S, v, w = problem
+    basis = S.reduced_groebner()
+    for _ in range(2):       # with a cold cache, then with a warm one
+        for u in (v, w):
+            remainder, combo, _ = dense_normal_form(S.ring, basis, u)
+            assert _handle_reduction(S, u) == (
+                remainder, {i: c for i, c in combo.items() if not c.is_zero()})
+            assert S.normal_form(u) == remainder
+    assert set(groebner._terms_of(v)) <= set(S._term_forms)
+
+
+def test_integer_handles_reduce_every_vector_from_scratch(zx):
+    # over Z canonical remainders are not linear: NF(-v) != -NF(v) here
+    S = SubmoduleHandle(zx, 2, [vec(zx, "3", "x"), vec(zx, "0", "2")])
+    basis = S.reduced_groebner()
+    elems = S._engine_basis()
+    v = vec(zx, "1", "x + 1")
+    minus_v = v.scale(zx.from_int(-1))
+    forms = [S.normal_form(u) for u in (v, minus_v, v, minus_v)]
+    assert forms[1] != forms[0].scale(zx.from_int(-1))
+    for u, form in zip((v, minus_v) * 2, forms):
+        nf, _ = groebner._normal_form_vs(zx, 2, elems, groebner._terms_of(u))
+        assert form == groebner._vector_of(zx, 2, nf)
+        assert form == dense_normal_form(zx, basis, u)[0]
+        assert _handle_reduction(S, u)[0] == form
+
+
 @applies_bounds
 def _reduced_basis_under(S, bounds=None):
     return S.reduced_groebner()
