@@ -22,7 +22,7 @@ from math import gcd, lcm as int_lcm
 
 from .errors import InternalInvariantError, UsageError
 from .rings import (IntegerCoeffs, PrimeFieldCoeffs, RationalCoeffs,
-                    RingElement, exact_divide, _is_prime)
+                    RingElement, exact_divide, is_prime)
 
 # enumeration budgets; exceeding one flips complete to False, never hangs
 TRIAL_DIVISION_LIMIT = 1_000_000
@@ -82,11 +82,8 @@ def factor_int(n: int):
         d += 1 if d == 2 else 2
     complete = True
     if n > 1:
-        if _is_prime(n):
-            out.append((n, 1))
-        else:
-            out.append((n, 1))
-            complete = False
+        out.append((n, 1))
+        complete = is_prime(n)
     return sign, out, complete
 
 

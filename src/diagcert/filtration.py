@@ -7,9 +7,7 @@ Reading pinned here (and echoed in every report):
   * the pool is enumerated only as far as bounds.sample_elements keeps it;
   * each class of a quotient, up to a unit, is annihilated once, into one
     table per quotient keyed by annihilator in order of first appearance;
-    a class is found as the term map of a pooled vector's normal form,
-    scaled by the inverse of the canonical unit of its lead, and becomes a
-    FreeVector only when it is new;
+    the classes are those `SubmoduleHandle.classes` yields for the pool;
     the sample takes one entry per key, a search stage reads its admissible
     and blocked ideals off the keys, and the first stage reuses the table
     its sample was built from;
@@ -28,9 +26,9 @@ from itertools import product
 
 from .bounds import Bounds, applies_bounds
 from .errors import InternalInvariantError, UsageError
-from .groebner import FreeVector, _lead, _vector_of
-from .homalg import (FPModule, _unit_normal, element_annihilator,
-                     element_pool, quotient_presentation)
+from .groebner import FreeVector, SubmoduleHandle
+from .homalg import (FPModule, element_annihilator, element_pool,
+                     quotient_presentation)
 from .linalg import RingMatrix
 from .rings import IdealHandle, RingDescriptor, RingElement, divides
 
@@ -120,44 +118,17 @@ def _unit_pool(M: FPModule, bounds: Bounds):
     pool = enumerate_elements(M.ring, M.gens, bounds)
     if not M.ring.coeffs.is_field:
         return pool
-    seen = set()
-    out = []
-    for v in pool:
-        key = _unit_normal(v.comps)
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
+    zero = SubmoduleHandle(M.ring, M.gens, ())
+    return [v for v, _ in zero.classes(pool)]
 
 
 def _class_table(Q: FPModule, vectors):
     """{Ann: (v, classes)} over the nonzero classes of Q, keyed in order of
     first appearance: v is the first vector with that annihilator, and
-    classes its distinct normal forms up to a unit, each annihilated once.
-
-    Each vector is reduced to its normal form's term map, which is scaled
-    by the inverse of the canonical unit of its position-over-term lead:
-    the leading term of its first nonzero component, as in
-    `homalg._unit_normal`.  The map is hashed once, and a FreeVector is
-    built only for a class not seen before."""
-    handle = Q.handle()
-    ring, dom = Q.ring, Q.ring.coeffs
-    one = dom.one()
-    seen = set()
+    classes its distinct normal forms up to a unit, each annihilated once."""
     table = {}
-    for v in vectors:
-        nf = handle.normal_terms(v)
-        if not nf:
-            continue
-        unit = dom.canonical_unit(_lead(ring, nf)[2])
-        if unit != one:
-            inv = dom.invert_unit(unit)
-            nf = {t: dom.mul(c, inv) for t, c in nf.items()}
-        key = frozenset(nf.items())
-        if key not in seen:
-            seen.add(key)
-            cls = _vector_of(ring, Q.gens, nf)
-            table.setdefault(element_annihilator(Q, cls), (v, []))[1].append(cls)
+    for v, cls in Q.handle().classes(vectors):
+        table.setdefault(element_annihilator(Q, cls), (v, []))[1].append(cls)
     return table
 
 

@@ -23,6 +23,12 @@ boundary type: SubmoduleHandle converts generators to term maps on the way
 in, caches its reduced basis once as term maps, and converts basis vectors
 back on the way out.
 
+This module alone decides a vector up to a unit: `_canonicalize` scales a
+term map by the inverse of the canonical unit of its position-over-term
+lead coefficient, for basis vectors, Buchberger-Moller rows and the classes
+`SubmoduleHandle.classes` yields to the filtration class tables, the
+filtration pool and the isomorphism sweep.
+
 Over a field, a normal form modulo a fixed basis is a linear map (the fact
 FGLM rests on: Faugere-Gianni-Lazard-Mora, J. Symb. Comp. 16, 1993), so a
 SubmoduleHandle also caches the reduction of each term it meets, and
@@ -188,6 +194,21 @@ def _lead(ring, terms):
     return pos, exp, terms[pos, exp]
 
 
+def _canonicalize(ring, terms, *others):
+    """Scale the nonzero map terms, and the maps others with it, in place by
+    the inverse of the canonical unit of its lead coefficient.  The lead is
+    the position-over-term one, so every unit multiple of terms comes out
+    the same: this is the one rule for a vector up to a unit."""
+    dom = ring.coeffs
+    u = dom.canonical_unit(_lead(ring, terms)[2])
+    if u == dom.one():
+        return
+    inv = dom.invert_unit(u)
+    for m in (terms, *others):
+        for k, c in m.items():
+            m[k] = dom.mul(inv, c)
+
+
 def _module_key(ring, rank, pos, exp):
     """Sort key for module terms; bigger key = bigger term (POT, index 0 top)."""
     return (rank - pos, ring.monomial_key(exp))
@@ -252,18 +273,8 @@ class _Engine:
             raise StepBudgetExceeded(
                 f"groebner step budget exhausted: steps={self.steps_limit}")
 
-    def _canonicalize(self, terms, expr):
-        """Scale terms and expr in place so the lead coefficient is canonical."""
-        u = self.dom.canonical_unit(_lead(self.ring, terms)[2])
-        if u == self.dom.one():
-            return
-        inv = self.dom.invert_unit(u)
-        for m in (terms, expr):
-            for k, c in m.items():
-                m[k] = self.dom.mul(inv, c)
-
     def _add_basis(self, terms, expr):
-        self._canonicalize(terms, expr)
+        _canonicalize(self.ring, terms, expr)
         elem = _BasisElem(self.ring, terms, expr, len(self.basis))
         t = elem.index
         self.basis.append(elem)
@@ -584,16 +595,32 @@ class SubmoduleHandle:
             raise InternalInvariantError("membership witness does not recombine")
         return True, _vector_of(self.ring, n, witness).comps
 
-    def normal_terms(self, v: FreeVector):
-        """The normal form of v as a term map {(pos, exp): coeff}."""
-        self._check_vector(v)
-        return self._reduce(_terms_of(v))[0]
-
     def normal_form(self, v: FreeVector) -> FreeVector:
+        self._check_vector(v)
         if not self.generators:
-            self._check_vector(v)
             return v
-        return _vector_of(self.ring, self.rank, self.normal_terms(v))
+        return _vector_of(self.ring, self.rank, self._reduce(_terms_of(v))[0])
+
+    def classes(self, vectors):
+        """Yield (v, cls) for each v of vectors whose class modulo the
+        submodule is nonzero and not met before up to a unit; cls is v's
+        normal form scaled by `_canonicalize`.
+
+        Lazy: the next vector is read only when the next pair is asked for.
+        With no generators nothing is reduced and no step ticks."""
+        seen = set()
+        for v in vectors:
+            self._check_vector(v)
+            terms = _terms_of(v)
+            if self.generators and terms:
+                terms = self._reduce(terms)[0]
+            if not terms:
+                continue
+            _canonicalize(self.ring, terms)
+            key = frozenset(terms.items())
+            if key not in seen:
+                seen.add(key)
+                yield v, _vector_of(self.ring, self.rank, terms)
 
     def equals(self, other: "SubmoduleHandle") -> bool:
         if self.ring != other.ring or self.rank != other.rank:
@@ -702,7 +729,7 @@ def _colon_finite_length(S: SubmoduleHandle, v: FreeVector):
             found.append(RingElement(ring, {e: c for (_, e), c
                                             in combination.items()}))
             continue
-        engine._canonicalize(work, combination)
+        _canonicalize(ring, work, combination)
         pos, exp, _ = _lead(ring, work)
         rows[pos, exp] = (work, combination)
         bisect.insort(pivots, (_module_key(ring, rank, pos, exp), (pos, exp)))

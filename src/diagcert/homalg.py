@@ -31,6 +31,9 @@ from .linalg import (EquivalenceCertificate, RingMatrix, determinant,
                      fitting_ideal, inverse_unimodular, smith_normal_form)
 from .rings import IdealHandle, RingDescriptor, RingElement
 
+# `grade` looks for a nonzero Ext^i up to this i
+GRADE_SEARCH_LIMIT = 3
+
 
 class FPModule:
     """Cokernel of the column span of a relations matrix inside R^gens."""
@@ -293,17 +296,16 @@ class Grade:
         return {"at_least": self.at_least, "degenerate": self.degenerate}
 
 
-def grade(M: FPModule, search_limit: int = 3) -> Grade:
-    """Smallest i with Ext^i(M,R) nonzero; AtLeast(limit+1) when not found.
+def grade(M: FPModule) -> Grade:
+    """Smallest i with Ext^i(M,R) nonzero; AtLeast(GRADE_SEARCH_LIMIT + 1)
+    when none of Ext^0 .. Ext^GRADE_SEARCH_LIMIT is.
 
     The zero module reports AtLeast with a degenerate flag (its grade is
     conventionally infinite).  Square full-rank presentations with non-unit
     determinant short-circuit to 1 after certifying Hom(M,R) = 0.
     """
-    if search_limit < 1:
-        raise UsageError("search limit must be at least 1")
     if M.is_zero():
-        return Grade(at_least=search_limit + 1, degenerate=True)
+        return Grade(at_least=GRADE_SEARCH_LIMIT + 1, degenerate=True)
     pm = M.presentation_matrix()
     if pm is not None and pm.is_square():
         det = determinant(pm)
@@ -313,10 +315,10 @@ def grade(M: FPModule, search_limit: int = 3) -> Grade:
                 raise InternalInvariantError(
                     "non-unit determinant but zero cokernel of the transpose")
             return Grade(value=1)
-    for i in range(search_limit + 1):
+    for i in range(GRADE_SEARCH_LIMIT + 1):
         if not ext(M, i).is_zero():
             return Grade(value=i)
-    return Grade(at_least=search_limit + 1)
+    return Grade(at_least=GRADE_SEARCH_LIMIT + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +468,7 @@ def hom_module(M: FPModule, N: FPModule, bounds: Bounds = None) -> list:
     out = []
     seen = set()
     for w in raw:
-        nf = hom_handle.normal_form(w) if homotopy else w
+        nf = hom_handle.normal_form(w)
         if nf.is_zero() or nf in seen:
             continue
         seen.add(nf)
@@ -608,38 +610,23 @@ def _try_iso(phi: ModuleHom) -> "tuple[ModuleHom, ModuleHom] | None":
 
 
 def _iso_candidates(generators, ring, bounds: Bounds):
-    """Deterministic candidate stream: single generators scaled from the
-    pool, then two-generator integer combinations."""
+    """Deterministic candidate stream of matrices flattened row by row:
+    single generators scaled from the pool, then two-generator integer
+    combinations."""
     pool = element_pool(ring, bounds)
-    k = len(generators)
-    for t in range(k):
-        yield generators[t].matrix
+    flat = [[e for row in phi.matrix for e in row] for phi in generators]
+    for entries in flat:
+        yield FreeVector(ring, entries)
     for c in pool:
-        for t in range(k):
-            yield [[c * e for e in row] for row in generators[t].matrix]
+        for entries in flat:
+            yield FreeVector(ring, [c * e for e in entries])
     ints = pool[:2 * bounds.height]
-    for t1 in range(k):
-        for t2 in range(t1 + 1, k):
+    for t1, first in enumerate(flat):
+        for second in flat[t1 + 1:]:
             for c1 in ints:
                 for c2 in ints:
-                    yield [[c1 * a + c2 * b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(generators[t1].matrix,
-                                             generators[t2].matrix)]
-
-
-def _unit_normal(entries):
-    """entries scaled so that the first nonzero one has a canonical leading
-    coefficient, as a key shared by all their unit multiples: entries itself
-    when it already has, None when every entry is zero."""
-    for e in entries:
-        if not e.is_zero():
-            dom = e.ring.coeffs
-            unit = dom.canonical_unit(e.leading_coeff())
-            if unit == dom.one():
-                return entries
-            inv = dom.invert_unit(unit)
-            return tuple(x.scale(inv) for x in entries)
-    return None
+                    yield FreeVector(ring, [c1 * a + c2 * b
+                                            for a, b in zip(first, second)])
 
 
 def _obstructions(M: FPModule, N: FPModule):
@@ -678,7 +665,7 @@ def _trivial_isomorphism(M: FPModule, N: FPModule) -> "IsoResult | None":
     """Yes by the identity when M and N share a presentation, by the zero
     map when both are zero; None otherwise."""
     ring = M.ring
-    if M.gens == N.gens and M.same_presentation(N):
+    if M.same_presentation(N):
         ident = RingMatrix.identity(ring, M.gens).rows if M.gens else ()
         return IsoResult("yes", ModuleHom(M, N, ident), ModuleHom(N, M, ident))
     if M.is_zero() and N.is_zero():
@@ -692,15 +679,12 @@ def _search_isomorphism(M: FPModule, N: FPModule, bounds: Bounds) -> IsoResult:
     """Yes with the first certified isomorphism among the first
     bounds.iso_candidates candidate maps M -> N, else unknown.  Each
     candidate is an R-combination of well-defined hom_module generators."""
-    generators = hom_module(M, N, bounds)
-    candidates = _iso_candidates(generators, M.ring, bounds)
-    tried = set()
-    for matrix in islice(candidates, bounds.iso_candidates):
-        # a unit multiple of a rejected map is no isomorphism either
-        key = _unit_normal(tuple(e for row in matrix for e in row))
-        if key is None or key in tried:
-            continue
-        tried.add(key)
+    g, h = M.gens, N.gens
+    candidates = islice(_iso_candidates(hom_module(M, N, bounds), M.ring,
+                                        bounds), bounds.iso_candidates)
+    # a unit multiple of a rejected map is no isomorphism either
+    for flat, _ in SubmoduleHandle(M.ring, h * g, ()).classes(candidates):
+        matrix = [flat.comps[p * g:(p + 1) * g] for p in range(h)]
         result = _try_iso(ModuleHom(M, N, matrix))
         if result is not None:
             return IsoResult("yes", *result)
@@ -866,11 +850,11 @@ class SplitResult:
 
 
 @applies_bounds
-def split_test(M: FPModule, sub_generators, quotient: FPModule = None,
+def split_test(M: FPModule, sub_generators,
                bounds: Bounds = None) -> SplitResult:
     """Does M split as the given submodule plus its quotient?"""
     sub = submodule_presentation(M, sub_generators)
-    quo = quotient if quotient is not None else quotient_presentation(M, sub_generators)
+    quo = quotient_presentation(M, sub_generators)
     total = sub.direct_sum(quo)
     iso = is_isomorphic(M, total, bounds)
     if iso.verdict == "yes":

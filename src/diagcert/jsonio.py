@@ -73,12 +73,8 @@ def matrix_from_json(data) -> "tuple[RingMatrix, dict]":
     return matrix, claims
 
 
-def matrix_to_json(matrix: RingMatrix, claims: dict = None) -> dict:
-    out = {"schema": SCHEMA}
-    out.update(matrix.to_json())
-    if claims:
-        out["claims"] = claims
-    return out
+def matrix_to_json(matrix: RingMatrix) -> dict:
+    return {"schema": SCHEMA, **matrix.to_json()}
 
 
 def module_from_json(data) -> FPModule:

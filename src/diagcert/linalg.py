@@ -532,12 +532,10 @@ def smith_normal_form(m: RingMatrix) -> SmithForm:
         raise NotEuclideanError(
             f"{ring!r} has no division algorithm here; use the diagonalizer")
     bench = Workbench(m)
+    a = bench.a             # apply changes it in place
     n, c = m.nrows, m.ncols
-    t = 0
-    while t < min(n, c):
-        progress = True
-        while progress:
-            a = bench.a
+    for t in range(min(n, c)):
+        while True:
             best = None
             for i in range(t, n):
                 for j in range(t, c):
@@ -547,15 +545,12 @@ def smith_normal_form(m: RingMatrix) -> SmithForm:
                     if best is None or size < best[0]:
                         best = (size, i, j)
             if best is None:
-                t = min(n, c)  # remaining block is zero
-                progress = False
-                break
+                break  # remaining block is zero
             _, pi, pj = best
             if pi != t:
                 bench.apply(RowSwap(t, pi))
             if pj != t:
                 bench.apply(ColSwap(t, pj))
-            a = bench.a
             pivot = a[t][t]
             dirty = False
             for i in range(t + 1, n):
@@ -564,33 +559,21 @@ def smith_normal_form(m: RingMatrix) -> SmithForm:
                 q = _euclid_quot(a[i][t], pivot)
                 bench.apply(RowAdd(i, t, -q))
                 dirty = True
-            a = bench.a
             for j in range(t + 1, c):
                 if a[t][j].is_zero():
                     continue
                 q = _euclid_quot(a[t][j], pivot)
                 bench.apply(ColAdd(j, t, -q))
                 dirty = True
-            a = bench.a
-            if dirty or any(not a[i][t].is_zero() for i in range(t + 1, n)) \
-                    or any(not a[t][j].is_zero() for j in range(t + 1, c)):
+            if dirty:
                 continue
             # row and column are clear; enforce divisibility into the block
-            merge = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, c):
-                    if not a[i][j].is_zero() and \
-                            exact_divide(a[i][j], pivot) is None:
-                        merge = i
-                        break
-                if merge is not None:
-                    break
-            if merge is not None:
-                bench.apply(RowAdd(t, merge, m.ring.one()))
-                continue
-            progress = False
-        if t < min(n, c):
-            t += 1
+            merge = next((i for i in range(t + 1, n) for j in range(t + 1, c)
+                          if not a[i][j].is_zero()
+                          and exact_divide(a[i][j], pivot) is None), None)
+            if merge is None:
+                break
+            bench.apply(RowAdd(t, merge, m.ring.one()))
     bench.canonicalize_diagonal()
     cert = bench.certificate()
     check = cert.verify()

@@ -27,7 +27,7 @@ from .errors import InternalInvariantError, ParseError, UsageError
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*")
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -197,7 +197,7 @@ class RationalCoeffs(_FieldCoeffs):
 
 class PrimeFieldCoeffs(_FieldCoeffs):
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise UsageError(f"prime field modulus {p} is not prime")
         self.p = p
         self.name = f"gf({p})"

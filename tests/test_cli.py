@@ -187,7 +187,21 @@ def test_qg_fallback_checks_no_invariant(capsys, fixtures_dir, monkeypatch):
 
 
 
-def test_qg_tries_no_unit_multiple_twice(capsys, fixtures_dir, monkeypatch):
+def _rational_multiple(a, b):
+    """Whether the matrix b is c*a for a nonzero rational c."""
+    flat_a = [e for row in a for e in row]
+    flat_b = [e for row in b for e in row]
+    i = next(i for i, e in enumerate(flat_a) if not e.is_zero())
+    if flat_b[i].is_zero():
+        return False
+    dom = flat_a[i].ring.coeffs
+    c = dom.mul(flat_b[i].leading_coeff(),
+                dom.invert_unit(flat_a[i].leading_coeff()))
+    return all(y == x.scale(c) for x, y in zip(flat_a, flat_b))
+
+
+def test_qg_tries_no_unit_multiple_twice(tmp_path, capsys, fixtures_dir,
+                                         monkeypatch):
     from diagcert import homalg
     tried = []
 
@@ -206,6 +220,24 @@ def test_qg_tries_no_unit_multiple_twice(capsys, fixtures_dir, monkeypatch):
         assert any(not e.is_zero() for row in a for e in row)
         negated = tuple(tuple(-e for e in row) for row in a)
         assert all(b not in (a, negated) for b in tried[i + 1:])
+
+    # over Q every nonzero rational is a unit; on the elliptic-curve matrix
+    # (y^2 = x^3 - 2 at P = (3, 5)) the sweep ends unknown after trying 60
+    # of the 219 candidates it draws
+    tried.clear()
+    path = tmp_path / "elliptic.json"
+    path.write_text(json.dumps({
+        "schema": "diagcert/1",
+        "ring": {"kind": "polynomial", "coefficients": "rationals",
+                 "variables": ["x", "y"], "order": "grevlex"},
+        "matrix": [["y - 5", "-x^2 - 3*x - 9"], ["3 - x", "y + 5"]]}))
+    code, out, _ = invoke(capsys, "qg", "--input", str(path), "--json")
+    assert code == 4
+    assert json.loads(out)["quasi_gorenstein"]["verdict"] == "unknown"
+    assert len(tried) == 60
+    for i, a in enumerate(tried):
+        assert any(not e.is_zero() for row in a for e in row)
+        assert not any(_rational_multiple(a, b) for b in tried[i + 1:])
 
 # 3 x 3 inputs the signed permutation sweep decides: a symmetric one (hit at
 # the identity pair) and one whose transpose needs the reversal with a sign;

@@ -20,7 +20,8 @@ from diagcert.jsonio import dumps, load_document, matrix_from_json, \
     module_from_json
 from diagcert.linalg import RingMatrix
 from diagcert.rings import ZZ, IdealHandle, RingDescriptor
-from test_groebner import PROPERTY_RINGS, PROPERTY_SETTINGS, elements
+from test_groebner import (PROPERTY_RINGS, PROPERTY_SETTINGS, elements,
+                          unit_normal)
 
 
 def vec(ring, *texts):
@@ -269,7 +270,7 @@ def test_search_annihilates_each_class_once(fixtures_dir, monkeypatch):
     real_enumerate = filtration.enumerate_elements
 
     def counting_annihilator(Q, x):
-        cls = filtration._unit_normal(Q.handle().normal_form(x).comps)
+        cls = unit_normal(Q.handle().normal_form(x).comps)
         annihilated.append((Q.relations, cls))
         return real_annihilator(Q, x)
 
@@ -288,12 +289,12 @@ def test_search_annihilates_each_class_once(fixtures_dir, monkeypatch):
 
 def reference_class_table(Q, vectors):
     """The class table built on FreeVectors: each normal form from
-    handle.normal_form, made unit-normal by homalg._unit_normal."""
+    handle.normal_form, made unit-normal by unit_normal."""
     handle = Q.handle()
     seen, table = set(), {}
     for v in vectors:
         nf = handle.normal_form(v)
-        comps = homalg._unit_normal(nf.comps)
+        comps = unit_normal(nf.comps)
         if comps is None:
             continue
         nf = FreeVector(Q.ring, comps)
@@ -343,7 +344,7 @@ def test_unit_pool_drops_unit_multiples_over_fields_only(fixtures_dir, zx):
     bounds = Bounds()
     full = enumerate_elements(M.ring, M.gens, bounds)
     pool = filtration._unit_pool(M, bounds)
-    classes = [filtration._unit_normal(v.comps) for v in pool]
+    classes = [unit_normal(v.comps) for v in pool]
     assert len(set(classes)) == len(pool) < len(full)
     rest = iter(full)      # the pool keeps the order of the enumeration
     assert all(any(v == w for w in rest) for v in pool)

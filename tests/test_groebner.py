@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import islice
 from operator import mul
 
 import pytest
@@ -675,3 +676,113 @@ def test_colon_edge_cases_on_both_paths(qxy, gens, finite):
     for bad in (vec(qxy, "x"), vec(qxy, "1", "x", "y")):
         with pytest.raises(UsageError):
             colon(S, bad)
+
+
+# -- classes up to a unit ------------------------------------------------------
+
+
+def unit_normal(entries):
+    """The reference rule for a vector up to a unit: entries scaled so that
+    the first nonzero one has a canonical leading coefficient; None when
+    every entry is zero."""
+    for e in entries:
+        if not e.is_zero():
+            dom = e.ring.coeffs
+            unit = dom.canonical_unit(e.leading_coeff())
+            if unit == dom.one():
+                return entries
+            inv = dom.invert_unit(unit)
+            return tuple(x.scale(inv) for x in entries)
+    return None
+
+
+def reference_classes(S, vectors):
+    """The pairs SubmoduleHandle.classes should yield, from normal_form and
+    unit_normal."""
+    seen = set()
+    for v in vectors:
+        key = unit_normal(S.normal_form(v).comps)
+        if key is not None and key not in seen:
+            seen.add(key)
+            yield v, FreeVector(S.ring, key)
+
+
+# per ring: the units the seeded vectors are scaled by, and the generators of
+# a nonzero submodule of R^2
+CLASS_RINGS = {
+    "Q[x,y]": (RingDescriptor.polynomial("rationals", ["x", "y"], "grevlex"),
+               ("-1", "2", "1/3"), [["x^2", "y"], ["y", "x - 1"]]),
+    "F_5[x,y]": (RingDescriptor.polynomial(5, ["x", "y"], "grevlex"),
+                 ("2", "3", "4"), [["x^2", "y"], ["y", "x - 1"]]),
+    "Z[x]": (RingDescriptor.polynomial("integers", ["x"], "lex"),
+             ("-1",), [["2*x", "3"], ["0", "x^2 + 1"]]),
+}
+
+
+def _seeded_vectors(ring, units, seed):
+    """Random vectors of R^2 with entries of degree <= 2, each followed by
+    unit multiples of itself and by the zero vector, shuffled."""
+    rng = random.Random(seed)
+    monos = [m for m in ("1", "x", "y", "x^2", "x*y", "y^2")
+             if "y" not in m or "y" in ring.variables]
+    out = []
+    for _ in range(25):
+        comps = []
+        for _ in range(2):
+            terms = rng.sample(monos, rng.randint(0, 3))
+            comps.append(sum((ring.parse(f"{rng.choice((-3, -1, 1, 2))}*{m}")
+                              for m in terms), ring.zero()))
+        v = FreeVector(ring, comps)
+        out.append(v)
+        out.extend(v.scale(ring.parse(u)) for u in units)
+    out.append(FreeVector.zero(ring, 2))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_RINGS))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_classes_match_the_unit_normal_reference(name, seed):
+    ring, units, gens = CLASS_RINGS[name]
+    vectors = _seeded_vectors(ring, units, seed)
+    for S in (SubmoduleHandle(ring, 2, ()),
+              SubmoduleHandle(ring, 2, [vec(ring, *g) for g in gens])):
+        got = list(S.classes(vectors))
+        assert got == list(reference_classes(S, vectors))
+        assert len(got) < len(vectors)
+
+
+def test_classes_reads_no_vector_past_the_pair_taken(qxy):
+    S = SubmoduleHandle(qxy, 2, [vec(qxy, "x", "y")])
+    # a new class, a unit multiple, a new class, a zero class, ...
+    vectors = [vec(qxy, *c) for c in (("1", "0"), ("-2", "0"), ("0", "1"),
+                                      ("x", "y"), ("y", "0"), ("3*y", "0"))]
+    for k in range(len(vectors) + 1):
+        def stream():
+            yield from vectors[:k]
+            raise AssertionError("read past the pairs taken")
+
+        n = len(list(reference_classes(S, vectors[:k])))
+        pairs = S.classes(stream())
+        assert len(list(islice(pairs, n))) == n
+
+
+@applies_bounds
+def _classes_under(S, vectors, bounds=None):
+    return list(S.classes(vectors))
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_RINGS))
+def test_classes_modulo_zero_tick_no_step(name):
+    ring, _, gens = CLASS_RINGS[name]
+    power = ring.parse("x + 1") ** 6
+    vectors = [FreeVector(ring, (power, power * ring.parse("x - 2"))),
+               FreeVector(ring, (ring.zero(), power))]
+    zero = SubmoduleHandle(ring, 2, ())
+    assert _classes_under(zero, vectors, Bounds(steps=1)) == \
+        list(zero.classes(vectors))
+    # a nonzero submodule reduces, and one step is not enough for that
+    S = SubmoduleHandle(ring, 2, [vec(ring, *g) for g in gens])
+    S.reduced_groebner()
+    with pytest.raises(StepBudgetExceeded):
+        _classes_under(S, vectors, Bounds(steps=1))

@@ -135,7 +135,7 @@ def test_grade_fixtures(qxy):
     free = FPModule(qxy, 2, ())
     assert grade(free).value == 0
     zero = FPModule.zero(qxy)
-    g = grade(zero, search_limit=3)
+    g = grade(zero)
     assert g.at_least == 4 and g.degenerate
 
 

@@ -29,6 +29,11 @@ never back a verdict.
 No module of the package reads the environment: a run depends only on its
 arguments, and every limit it applies is one that `Bounds` reports.
 
+No module of the package imports an underscore name from another module of
+the package (`from .x import _y`): a private name stays behind the module
+that defines it.  An attribute access such as `verifier._det` is not an
+import and is not checked.
+
 No module of the package writes into a `RingElement`'s term map `._terms`,
 by assignment, deletion or a mutating dict method, outside the two
 constructors in rings.py: elements cache their sorted terms, hash and sort
@@ -235,6 +240,29 @@ def test_no_module_reads_the_environment():
     readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
                if _reads_environment(ast.parse(path.read_text(encoding="utf-8")))]
     assert not readers, f"modules reading the environment: {readers}"
+
+
+def _private_imports(tree):
+    """`module._name` for each underscore name imported from the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "diagcert"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield f"{node.module or ''}.{alias.name}"
+
+
+def test_no_module_imports_a_private_name():
+    probe = ast.parse("from .groebner import FreeVector, _lead\n"
+                      "from diagcert.rings import _element\n"
+                      "from . import verifier\n")
+    assert list(_private_imports(probe)) == ["groebner._lead",
+                                             "diagcert.rings._element"]
+    imports = [f"{path.name}: {name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for name in _private_imports(
+                   ast.parse(path.read_text(encoding="utf-8")))]
+    assert not imports, f"private names imported across modules: {imports}"
 
 
 # where rings.py builds an element's term map
