@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd as _int_gcd
 from operator import add, neg, sub
 
 from .errors import InternalInvariantError, ParseError, UsageError
@@ -141,6 +142,11 @@ def _rational(x):
     return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
+def _ratio(n, d):
+    """n/d for coprime n and d > 0: an int when d is 1, else a Fraction."""
+    return n if d == 1 else Fraction(n, d)
+
+
 class _FieldCoeffs(_CoeffDomain):
     """A field of coefficients: every nonzero element is a unit."""
 
@@ -161,18 +167,33 @@ class RationalCoeffs(_FieldCoeffs):
     """Q: an integral value is an int, any other a Fraction.
 
     Every division goes through Fraction, so int / int never gives a float.
+    add, mul and invert_unit run Fraction's lowest-terms algorithms on the
+    numerators and denominators themselves, without its operator dispatch.
     """
 
     name = "rationals"
 
     def add(self, a, b):
-        return _rational(a + b)
+        if type(a) is int and type(b) is int:
+            return a + b
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        g = _int_gcd(da, db)
+        if g == 1:
+            return _ratio(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g = _int_gcd(t, g)
+        return _ratio(t // g, s * (db // g))
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return _rational(a * b)
+        if type(a) is int and type(b) is int:
+            return a * b
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        g, h = _int_gcd(na, db), _int_gcd(nb, da)
+        return _ratio((na // g) * (nb // h), (da // h) * (db // g))
 
     def is_unit(self, a):
         return a != 0
@@ -180,7 +201,9 @@ class RationalCoeffs(_FieldCoeffs):
     def invert_unit(self, a):
         if a == 0:
             raise UsageError("0 is not a unit")
-        return _rational(Fraction(1) / a)
+        if a.numerator < 0:
+            return _ratio(-a.denominator, -a.numerator)
+        return _ratio(a.denominator, a.numerator)
 
     def exact_div(self, a, b):
         return _rational(Fraction(a, b))

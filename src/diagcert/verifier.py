@@ -114,7 +114,9 @@ def fitting_image(matrix, point, k):
     evaluation at point (variable name -> integer): over Z coefficients the
     nonnegative gcd of the evaluated k-minors, over a field 1 if one of them
     is nonzero, else 0.  None if point misses a variable, gives one a value
-    that is not an int, or k is no size.
+    that is not an int, or k is no size.  When the evaluated matrix is
+    diagonal only its principal minors are expanded: any other k x k
+    submatrix of it has a zero row.
     """
     ring = matrix.ring
     n = len(matrix.rows)
@@ -125,9 +127,11 @@ def fitting_image(matrix, point, k):
         return None
     dom = ring.coeffs
     a = [[_evaluate(e, values, dom) for e in row] for row in matrix.rows]
+    diagonal = all(x == 0 for i, row in enumerate(a)
+                   for j, x in enumerate(row) if i != j)
     image = 0
     for rows in combinations(range(n), k):
-        for cols in combinations(range(n), k):
+        for cols in (rows,) if diagonal else combinations(range(n), k):
             minor = dom.from_int(_det(dom, [[a[i][j] for j in cols]
                                             for i in rows]))
             image = gcd(image, int(minor != 0) if dom.is_field else minor)

@@ -263,6 +263,28 @@ def test_finite_length_analyze_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == \
         FINITE_LENGTH_ANALYZE_SHA256
 
+# the two other Jordan-core scrambles of the seed-1 analyze-full benchmark,
+# 10 (a swap) and 13 (an add above the diagonal), with the sha256 of their
+# analyze --json bytes as the benchmark recorded them
+JORDAN_CORE_SCRAMBLES = {
+    (("y", "x"), ("x", "0")):
+        "da8d008bf8ebb12ab8287916f6397d15a4bba8953681130acbb6e499f96de277",
+    (("x", "3*x + y"), ("0", "x")):
+        "375c6847a8efdc2b46ddf8edaa932d2311e0a1251d9c74211942c44d7873b687",
+}
+
+
+@pytest.mark.parametrize("rows", sorted(JORDAN_CORE_SCRAMBLES))
+def test_jordan_core_scramble_bytes_pinned(tmp_path, capsys, rows):
+    path = tmp_path / "scramble.json"
+    document = dict(FINITE_LENGTH_ANALYZE, matrix=[list(r) for r in rows])
+    path.write_text(dumps(dict(document, schema="diagcert/1")))
+    assert main(["analyze", "--input", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        JORDAN_CORE_SCRAMBLES[rows]
+
+
 def test_search_annihilates_each_class_once(fixtures_dir, monkeypatch):
     M = fixture_module(fixtures_dir, "jordan_block")
     annihilated, enumerations = [], []

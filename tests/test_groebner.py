@@ -336,12 +336,24 @@ def dense_normal_form(ring, basis, vec):
     return remainder, combo, steps
 
 
+def _by_position(layout, combo):
+    """A combination term map as {position: nonzero RingElement}."""
+    maps = {}
+    for key, c in combo.items():
+        maps.setdefault(layout.position(key), {})[layout.exponent(key)] = c
+    return {i: RingElement(layout.ring, m) for i, m in maps.items() if m}
+
+
 @applies_bounds
 def _engine_normal_form(ring, basis, vec, bounds=None):
-    elems = [groebner._BasisElem(ring, groebner._terms_of(b), {}, i)
-             for i, b in enumerate(basis)]
-    return groebner._normal_form_vs(ring, vec.rank, elems,
-                                    groebner._terms_of(vec))
+    """(remainder FreeVector, {basis index: multiplier}) from the engine."""
+    layout = groebner._Layout(ring)
+    elems = [groebner._BasisElem(layout, groebner._terms_of(layout, b.comps),
+                                 {}, i) for i, b in enumerate(basis)]
+    combo = {}
+    nf = groebner._normal_form_vs(layout, vec.rank, elems,
+                                  groebner._terms_of(layout, vec.comps), combo)
+    return groebner._vector_of(layout, vec.rank, nf), _by_position(layout, combo)
 
 
 @st.composite
@@ -364,10 +376,10 @@ def reduction_problems(draw):
 def test_term_map_reduction_matches_dense(problem):
     ring, basis, vec = problem
     remainder, combo, steps = dense_normal_form(ring, basis, vec)
-    nf, maps = _engine_normal_form(ring, basis, vec, Bounds(steps=steps or 1))
-    assert groebner._vector_of(ring, vec.rank, nf) == remainder
-    assert {i: RingElement(ring, m) for i, m in maps.items() if m} == \
-        {i: c for i, c in combo.items() if not c.is_zero()}
+    nf, multipliers = _engine_normal_form(ring, basis, vec,
+                                          Bounds(steps=steps or 1))
+    assert nf == remainder
+    assert multipliers == {i: c for i, c in combo.items() if not c.is_zero()}
     if steps > 1:
         with pytest.raises(StepBudgetExceeded):
             _engine_normal_form(ring, basis, vec, Bounds(steps=steps - 1))
@@ -391,19 +403,17 @@ def cached_reduction_problems(draw):
         lambda comps: FreeVector(ring, comps))
     gens = draw(st.lists(vectors, min_size=1, max_size=3))
     v = draw(vectors)
-    w = groebner._vector_of(ring, rank, {
+    layout = groebner._Layout(ring)
+    w = groebner._vector_of(layout, rank, {
         t: ring.coeffs.from_int(draw(st.integers(1, 4)))
-        for t in groebner._terms_of(v)})
+        for t in groebner._terms_of(layout, v.comps)})
     return SubmoduleHandle(ring, rank, gens), v, w
 
 
 def _handle_reduction(S, v):
-    nf, combo = S._reduce(groebner._terms_of(v))
-    maps = {}
-    for (i, e), c in combo.items():
-        maps.setdefault(i, {})[e] = c
-    return (groebner._vector_of(S.ring, S.rank, nf),
-            {i: RingElement(S.ring, m) for i, m in maps.items() if m})
+    layout, combo = S._layout, {}
+    nf = S._reduce(groebner._terms_of(layout, v.comps), combo)
+    return groebner._vector_of(layout, S.rank, nf), _by_position(layout, combo)
 
 
 @PROPERTY_SETTINGS
@@ -417,7 +427,7 @@ def test_cached_term_reductions_match_dense(problem):
             assert _handle_reduction(S, u) == (
                 remainder, {i: c for i, c in combo.items() if not c.is_zero()})
             assert S.normal_form(u) == remainder
-    assert set(groebner._terms_of(v)) <= set(S._term_forms)
+    assert set(groebner._terms_of(S._layout, v.comps)) <= set(S._term_forms)
 
 
 def test_integer_handles_reduce_every_vector_from_scratch(zx):
@@ -429,9 +439,11 @@ def test_integer_handles_reduce_every_vector_from_scratch(zx):
     minus_v = v.scale(zx.from_int(-1))
     forms = [S.normal_form(u) for u in (v, minus_v, v, minus_v)]
     assert forms[1] != forms[0].scale(zx.from_int(-1))
+    layout = S._layout
     for u, form in zip((v, minus_v) * 2, forms):
-        nf, _ = groebner._normal_form_vs(zx, 2, elems, groebner._terms_of(u))
-        assert form == groebner._vector_of(zx, 2, nf)
+        nf = groebner._normal_form_vs(layout, 2, elems,
+                                      groebner._terms_of(layout, u.comps))
+        assert form == groebner._vector_of(layout, 2, nf)
         assert form == dense_normal_form(zx, basis, u)[0]
         assert _handle_reduction(S, u)[0] == form
 
@@ -461,6 +473,92 @@ def test_tail_reduction_ticks_the_engine_counter(coeffs, rows, steps):
         _reduced_basis_under(handle(), Bounds(steps=steps - 1))
 
 
+# -- packed term keys ---------------------------------------------------------
+
+PACKING_RINGS = tuple(RingDescriptor.polynomial("integers", ["x", "y", "z"][:n],
+                                                order)
+                      for n in range(4) for order in ("lex", "grevlex"))
+# exponents this large keep the degree of a product of two 3-variable terms
+# below the field limit
+BIG_EXPONENT = groebner._GUARD // 8 - 1
+
+
+@st.composite
+def packed_terms(draw):
+    """(ring, [(position, exponent)]): mostly small exponents, so that many
+    terms share a degree, some large ones, and multiples of the first."""
+    ring = draw(st.sampled_from(PACKING_RINGS))
+
+    def exps(entries):
+        return st.lists(entries, min_size=ring.nvars,
+                        max_size=ring.nvars).map(tuple)
+
+    small = exps(st.integers(0, 3))
+    large = exps(st.one_of(st.integers(0, 3), st.integers(0, BIG_EXPONENT)))
+    terms = draw(st.lists(st.tuples(st.integers(0, 2),
+                                    st.one_of(small, small, large)),
+                          min_size=1, max_size=8))
+    pos, first = terms[0]
+    for step in draw(st.lists(exps(st.integers(0, 2)), max_size=3)):
+        terms.append((pos, tuple(a + b for a, b in zip(first, step))))
+    return ring, terms
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(packed_terms())
+def test_packed_key_order_is_position_over_term(problem):
+    ring, terms = problem
+    layout = groebner._Layout(ring)
+    for a in terms:
+        for b in terms:
+            pot_a = (-a[0], ring.monomial_key(a[1]))
+            pot_b = (-b[0], ring.monomial_key(b[1]))
+            assert (layout.pack(*a) < layout.pack(*b)) == (pot_a < pot_b)
+            assert (layout.pack(*a) == layout.pack(*b)) == (a == b)
+
+
+@PROPERTY_SETTINGS
+@given(packed_terms())
+def test_packed_divisibility_is_tuplewise(problem):
+    ring, terms = problem
+    layout = groebner._Layout(ring)
+    for a in terms:
+        for b in terms:
+            assert layout.divides(layout.pack(*a), layout.pack(*b)) == \
+                all(x <= y for x, y in zip(a[1], b[1]))
+
+
+@PROPERTY_SETTINGS
+@given(packed_terms())
+def test_packed_keys_unpack_and_multiply(problem):
+    ring, terms = problem
+    layout = groebner._Layout(ring)
+    one = layout.at(0)
+    for pos, exp in terms:
+        key = layout.pack(pos, exp)
+        assert (layout.position(key), layout.exponent(key)) == (pos, exp)
+        for _, other in terms[:3]:
+            product = tuple(a + b for a, b in zip(exp, other))
+            assert layout.shift(key, layout.pack(0, other) - one) == \
+                layout.pack(pos, product)
+
+
+@pytest.mark.parametrize("ring", [r for r in PACKING_RINGS if r.nvars])
+def test_a_shift_past_the_field_width_raises(ring):
+    layout = groebner._Layout(ring)
+    top = groebner._GUARD - 1
+    for j, unit in enumerate(layout.units):
+        exp = tuple(top if k == j else 0 for k in range(ring.nvars))
+        key = layout.pack(1, exp)
+        assert layout.exponent(key) == exp
+        with pytest.raises(InternalInvariantError, match="overflows"):
+            layout.shift(key, unit)
+        with pytest.raises(InternalInvariantError, match="overflows"):
+            groebner._add_scaled(layout, {}, {key: 1}, unit, 1)
+        with pytest.raises(InternalInvariantError, match="overflows"):
+            layout.pack(1, tuple(a + (k == j) for k, a in enumerate(exp)))
+
+
 # -- entry checks and self-checks --------------------------------------------
 
 
@@ -477,9 +575,10 @@ def test_normal_form_rejects_wrong_rank_or_ring(qxy):
     assert S.normal_form(vec(qxy, "x + y", "x")) == vec(qxy, "y", "-y")
 
 
-def _corrupt(expr, ring):
+def _corrupt(expr, layout):
     """Add x^5 times the first generator to a term map over the generators."""
-    expr[0, (5,) + (0,) * (ring.nvars - 1)] = ring.coeffs.one()
+    exp = (5,) + (0,) * (layout.ring.nvars - 1)
+    expr[layout.pack(0, exp)] = layout.dom.one()
 
 
 def test_reduced_groebner_rejects_a_bad_expression(qxy, monkeypatch):
@@ -487,7 +586,7 @@ def test_reduced_groebner_rejects_a_bad_expression(qxy, monkeypatch):
 
     def corrupted(self):
         out = real(self)
-        _corrupt(out[0][1], self.ring)
+        _corrupt(out[0][1], self.layout)
         return out
 
     monkeypatch.setattr(groebner._Engine, "reduced_basis", corrupted)
@@ -500,7 +599,7 @@ def test_contains_rejects_a_bad_witness(qxy):
     S = SubmoduleHandle(qxy, 1, [vec(qxy, "x"), vec(qxy, "y")])
     assert S.contains(vec(qxy, "x^2 + y"))[0]
     for b in S._engine_basis():
-        _corrupt(b.expr, qxy)
+        _corrupt(b.expr, S._layout)
     with pytest.raises(InternalInvariantError, match="witness does not recombine"):
         S.contains(vec(qxy, "x^2 + y"))
 
@@ -508,8 +607,8 @@ def test_contains_rejects_a_bad_witness(qxy):
 def test_preimage_rechecks_each_element(qxy, monkeypatch):
     S = SubmoduleHandle(qxy, 1, [vec(qxy, "x^2")])
     assert ideal_strs(colon(S, vec(qxy, "x"))) == ["x"]
-    monkeypatch.setattr(SubmoduleHandle, "contains",
-                        lambda self, v: (False, None))
+    # the re-check runs through the membership routine on term maps
+    monkeypatch.setattr(SubmoduleHandle, "_witness", lambda self, terms: None)
     with pytest.raises(InternalInvariantError,
                        match="preimage element maps outside S"):
         preimage([vec(qxy, "x")], S)

@@ -389,6 +389,26 @@ def test_rational_coefficients_keep_one_representation(a, b, n):
 
 
 @RATIONAL_SETTINGS
+@given(rationals(), rationals(), st.integers(-5, 5))
+def test_rational_add_mul_and_inverse_are_fraction_arithmetic(a, b, n):
+    # the verifier's ring arithmetic over Q rests on these three methods;
+    # c = n - a makes a + c integral whatever the denominators
+    dom = RationalCoeffs()
+    rest = Fraction(n) - Fraction(a)
+    c = dom.from_fraction(rest.numerator, rest.denominator)
+    cases = [(dom.add(a, b), Fraction(a) + Fraction(b)),
+             (dom.add(a, c), Fraction(n)),
+             (dom.mul(a, b), Fraction(a) * Fraction(b)),
+             (dom.mul(a, c), Fraction(a) * rest)]
+    for x in (a, b, c):
+        if x != 0:
+            cases.append((dom.invert_unit(x), 1 / Fraction(x)))
+    for got, want in cases:
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@RATIONAL_SETTINGS
 @given(rationals(), rationals(), rationals())
 def test_rational_polynomials_keep_one_representation(a, b, c):
     ring = RingDescriptor.polynomial("rationals", ["x", "y"], "grevlex")

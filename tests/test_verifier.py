@@ -7,10 +7,11 @@ form of an evaluated matrix against the verifier's Fitting images."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
+from diagcert import verifier
 from diagcert.linalg import RingMatrix
 from diagcert.rings import (IntegerCoeffs, PrimeFieldCoeffs, RationalCoeffs,
                             RingDescriptor)
@@ -122,6 +123,33 @@ def test_fitting_image_reduces_each_minor_mod_p():
         assert fitting_image(m, point, 2) == 0
         assert _reference_fitting_image(m, point, 2) == 0
     assert fitting_image(m, {"x": 1, "y": 0}, 2) == 1
+
+
+def test_fitting_image_expands_every_minor_unless_the_grid_is_diagonal(
+        monkeypatch):
+    # at x = 1 the diagonal grid has entries 2, 4, 6; one off-diagonal 4
+    # leaves each gcd unchanged, and one off-diagonal 3 brings the first to 1
+    ring = RingDescriptor.polynomial(*RINGS["Z[x]"])
+    diagonal = [["2*x", "0", "0"], ["0", "4", "0"], ["0", "0", "6*x"]]
+    expanded = []
+
+    def counting_det(dom, a):
+        expanded.append(len(a))
+        return _det(dom, a)
+
+    monkeypatch.setattr(verifier, "_det", counting_det)
+    for entry, images in (("0", [2, 4, 48]), ("4", [2, 4, 48]),
+                          ("3", [1, 2, 48])):
+        m = RingMatrix.parse(ring, [diagonal[0][:1] + [entry, "0"]]
+                             + diagonal[1:])
+        for k, image in enumerate(images, start=1):
+            expanded.clear()
+            assert fitting_image(m, {"x": 1}, k) == image
+            assert _reference_fitting_image(m, {"x": 1}, k) == image
+            if entry == "0":
+                assert expanded.count(k) == comb(3, k)
+            elif image != 1:
+                assert expanded.count(k) == comb(3, k) ** 2
 
 
 def _with_zero_lines(rng, grid, zero):
